@@ -131,13 +131,15 @@ struct Campaign::Worker {
   Mutator mut;
   std::vector<std::uint8_t> map;
   obs::ScopedView view;
-  obs::Counter c_execs, c_admits, c_crashes, c_hangs, c_resets_pages;
+  obs::Counter c_execs, c_scans, c_admits, c_crashes, c_hangs,
+      c_resets_pages;
 
   Worker(std::uint64_t seed, const std::string& prefix, unsigned widx)
       : mut(seed),
         map(kMapSize),
         view(prefix + ".w" + std::to_string(widx)),
         c_execs(view.qualify("execs")),
+        c_scans(view.qualify("novelty_scans")),
         c_admits(view.qualify("corpus_admits")),
         c_crashes(view.qualify("crashes")),
         c_hangs(view.qualify("hangs")),
@@ -207,8 +209,11 @@ std::ptrdiff_t Campaign::execute_one(Worker& w,
   }
 
   // Guest-side novelty gate: only consult the (mutex-guarded) global set
-  // when this run lit at least one previously-zero local map slot.
+  // when this run lit at least one local map slot for the first time. Lit
+  // slots never read 0 again (see edge_snippet), so with one worker every
+  // scan admits an input.
   if (mem.read(kNewEdgesAddr, 8) == 0) return -1;
+  w.c_scans.add(1);
   read_map(w.m, w.map.data());
   const unsigned fresh = global_.merge(w.map.data());
   if (fresh == 0) return -1;

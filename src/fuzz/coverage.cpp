@@ -14,9 +14,17 @@ namespace {
 /// The per-block edge snippet. `cur` is this block's compile-time id.
 ///
 ///   slot  = kMapBase + (prev ^ cur)          // prev is stored pre-shifted
-///   if (map[slot] == 0) new_edges += 1       // first global hit
-///   map[slot] += 1                           // 8-bit hit count (wraps)
+///   if (map[slot] == 0) new_edges += 1       // first hit by this worker
+///   map[slot] = (map[slot] + 2) | 1          // lit bit + 7-bit hit count
 ///   prev = cur >> 1
+///
+/// A lit byte is always odd: bit 0 marks the slot lit and bits 7..1 hold
+/// the hit count mod 128, so a counter that wraps lands on 1, never on 0.
+/// A plain `+= 1` counter wraps 255 -> 0 on a campaign-long map, and the
+/// next hit on that slot would count as a first hit again. This form costs
+/// one constant and one `or` more than `+= 1`; NeverZero or saturating
+/// forms would need a second slot evaluation and load, since codegen
+/// re-evaluates every subtree.
 ///
 /// Order matters: the first-hit test must run before the increment, and the
 /// slot expression must be evaluated before `prev` is updated — codegen
@@ -31,8 +39,11 @@ cg::SnippetPtr edge_snippet(std::uint16_t cur) {
   return cg::sequence({
       cg::if_then(cg::binary(cg::BinOp::Eq, cg::load(slot, 1), cg::constant(0)),
                   cg::increment(new_edges)),
-      cg::store(slot, cg::binary(cg::BinOp::Add, cg::load(slot, 1),
-                                 cg::constant(1)),
+      cg::store(slot,
+                cg::binary(cg::BinOp::Or,
+                           cg::binary(cg::BinOp::Add, cg::load(slot, 1),
+                                      cg::constant(2)),
+                           cg::constant(1)),
                 1),
       cg::assign(prev, cg::constant(cur >> 1)),
   });

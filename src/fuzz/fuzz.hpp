@@ -6,8 +6,10 @@
 //    edge-hash snippet at every basic-block entry: each block hashes
 //    `prev_block ^ cur_block` into a 64 KiB byte map living at a fixed
 //    guest address, and bumps a `new_edges` counter the first time a map
-//    slot goes nonzero. All bookkeeping is guest memory — no host callouts
-//    on the hot path, so woven blocks stay JIT-compilable.
+//    slot goes nonzero. A lit slot holds `(hits << 1) | 1` mod 256, so it
+//    never reads zero again and `new_edges` fires only on real novelty.
+//    All bookkeeping is guest memory — no host callouts on the hot path,
+//    so woven blocks stay JIT-compilable.
 //
 //  * Machine::take_snapshot()/reset_to_snapshot() (emu layer) — dirty-page
 //    resets make one fuzz iteration "restore registers + copy back the few
@@ -48,7 +50,8 @@ namespace rvdyn::fuzz {
 
 // --- coverage map geometry --------------------------------------------------
 // The map is a byte table indexed by `(prev >> 1) ^ cur` where prev/cur are
-// 16-bit block ids; shifting prev keeps A->B distinct from B->A. Ids are
+// 16-bit block ids; shifting prev keeps A->B distinct from B->A. Each lit
+// byte has bit 0 set and the slot's hit count mod 128 in bits 7..1. Ids are
 // 16-bit, so the xor never exceeds the map and the woven snippet needs no
 // masking. The two u64 scratch slots (`prev`, `new_edges`) live in the page
 // right after the map; the whole range is dirty-exempt, so coverage
@@ -97,8 +100,9 @@ void read_map(emu::Machine& m, std::uint8_t* out);
 
 /// The cross-worker novelty filter: a host-side set of every map index any
 /// worker has ever lit. Workers consult it only when their guest-side
-/// `new_edges` counter says the local map changed, so the mutex is off the
-/// per-exec path.
+/// `new_edges` counter says the run lit a local slot for the first time,
+/// which happens at most once per edge per worker, so the 64 KiB merge and
+/// its mutex are off the per-exec path.
 class GlobalCoverage {
  public:
   GlobalCoverage() : seen_(kMapSize, 0) {}

@@ -81,6 +81,28 @@ TEST(FuzzCampaign, MultiWorkerShardsAndStillFindsTheBug) {
   EXPECT_GT(w0, 0u);  // worker 0 at least ran the seed calibration
 }
 
+// The guest-side gate must be exact: with one worker the local map and the
+// global set light the same slots, so every 64 KiB map scan admits an
+// input. A gate that re-fires on wrapped hit counters scanned 523 times for
+// 6 admissions on this campaign.
+TEST(FuzzCampaign, OneWorkerScansOnlyWhenItAdmits) {
+  fuzz::CampaignOptions o;
+  o.workers = 1;
+  o.max_execs = 30000;
+  o.seed = 1;
+  o.stop_on_crash = false;
+  fuzz::Campaign c(target_binary("RV!"), o);
+  const auto r = c.run();
+  ASSERT_EQ(r.execs, o.max_execs);
+
+  const auto& reg = obs::Registry::instance();
+  const std::uint64_t scans = reg.value("rvdyn.fuzz.w0.novelty_scans");
+  const std::uint64_t admits = reg.value("rvdyn.fuzz.w0.corpus_admits");
+  EXPECT_GT(admits, 1u) << "search never found anything past the seed";
+  EXPECT_EQ(admits, r.corpus_size);
+  EXPECT_EQ(scans, admits) << "novelty scans that admitted nothing";
+}
+
 // Back-to-back campaigns must not accumulate worker counters (the scoped
 // registry reset) and must not leak coverage state between instances.
 TEST(FuzzCampaign, RepeatCampaignsStartClean) {

@@ -1,6 +1,7 @@
 // Coverage weaving: the per-block edge snippet must light the guest-side
 // map deterministically — same input, same map, with or without the JIT —
-// and the `new_edges` counter must gate exactly on previously-zero slots.
+// and the `new_edges` counter must gate exactly on previously-zero slots,
+// however often a slot's hit counter wraps.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -57,14 +58,18 @@ TEST(FuzzCoverage, RunLightsMapAndCountsNewEdges) {
 }
 
 // Re-running the same input on a persistent map must find nothing new:
-// novelty gating relies on this.
+// novelty gating relies on this. The map lasts the whole campaign, so the
+// rounds run the slots' 8-bit counters past 255 twice over. A plain
+// `+= 1` counter wrapped to 0 and its next hit counted as a first hit
+// again (this input first did so at round 85), sending the host into a
+// 64 KiB map scan for nothing. Lit slots must stay odd, hence nonzero.
 TEST(FuzzCoverage, SecondRunOfSameInputIsNotNovel) {
   const auto t = weave_target();
   Machine m;
   fuzz::attach_coverage(m, t);
   const auto snap = m.take_snapshot();
 
-  for (int round = 0; round < 3; ++round) {
+  for (int round = 0; round < 300; ++round) {
     m.memory().write(fuzz::kPrevAddr, 0, 8);
     m.memory().write(fuzz::kNewEdgesAddr, 0, 8);
     write_input(m, {1, 2, 3}, t);
@@ -73,9 +78,14 @@ TEST(FuzzCoverage, SecondRunOfSameInputIsNotNovel) {
     if (round == 0)
       EXPECT_GT(new_edges, 0u);
     else
-      EXPECT_EQ(new_edges, 0u) << "round " << round;
+      ASSERT_EQ(new_edges, 0u) << "false novelty at round " << round;
     m.reset_to_snapshot(snap);
   }
+
+  std::vector<std::uint8_t> map(fuzz::kMapSize);
+  fuzz::read_map(m, map.data());
+  for (std::uint64_t i = 0; i < fuzz::kMapSize; ++i)
+    if (map[i] != 0) EXPECT_EQ(map[i] & 1, 1) << "slot " << i;
 }
 
 // Same input on two fresh machines: byte-identical 64 KiB maps.
@@ -150,10 +160,12 @@ TEST(FuzzCoverage, EdgeCountersKeepCountingAcrossRepeats) {
     m.reset_to_snapshot(snap);
   }
 
+  // Compare decoded counts (bits 7..1): a counter frozen at its first hit
+  // reads 3 raw, which would pass a raw-byte comparison with kRounds.
   std::vector<std::uint8_t> map(fuzz::kMapSize);
   fuzz::read_map(m, map.data());
-  std::uint8_t max_count = 0;
-  for (const std::uint8_t b : map) max_count = std::max(max_count, b);
+  int max_count = 0;
+  for (const std::uint8_t b : map) max_count = std::max(max_count, b >> 1);
   EXPECT_GE(max_count, kRounds) << "edge hit counters are not accumulating";
 }
 
