@@ -1,7 +1,12 @@
 // A3 — ParseAPI's parallel parsing claim: CFG construction throughput as
-// the worker count grows, on many-function binaries.
+// the worker count grows. The many-function binaries seed every function
+// from symbols, so the traversal is one wide wave; the symbol-less call
+// tree finds every function through a call, so the parse runs as many
+// waves that double in width.
 #include <chrono>
+#include <string>
 #include <thread>
+#include <utility>
 
 #include "bench_util.hpp"
 #include "parse/cfg.hpp"
@@ -15,16 +20,21 @@ int main() {
   if (cores == 1)
     std::printf("NOTE: single-core host — speedups are bounded at ~1.0x; "
                 "this run verifies\ndeterminism (identical CFGs per thread "
-                "count) and measures pool overhead.\n");
+                "count) and measures threading overhead.\n");
   std::printf("\n");
   bench::JsonWriter json("BENCH_parse_parallel.json");
-  for (const int n_funcs : {500, 2000, 8000}) {
-    const auto bin =
-        assembler::assemble(workloads::many_function_program(n_funcs));
+  const std::pair<std::string, std::string> inputs[] = {
+      {"500fn", workloads::many_function_program(500)},
+      {"2000fn", workloads::many_function_program(2000)},
+      {"8000fn", workloads::many_function_program(8000)},
+      {"calltree_8191fn", workloads::call_tree_program(8191, 2)},
+  };
+  for (const auto& [label, src] : inputs) {
+    const auto bin = assembler::assemble(src);
     std::uint64_t text_bytes = 0;
     for (const auto& s : bin.sections())
       if (s.is_code()) text_bytes += s.data.size();
-    std::printf("binary: %d functions, %llu bytes of code\n", n_funcs,
+    std::printf("binary: %s, %llu bytes of code\n", label.c_str(),
                 static_cast<unsigned long long>(text_bytes));
     std::printf("%10s %12s %10s %10s\n", "threads", "parse (ms)", "speedup",
                 "blocks");
@@ -55,7 +65,8 @@ int main() {
       std::printf("%10u %12.2f %9.2fx %10u\n", threads, best,
                   serial_ms / best, blocks);
       char name[64];
-      std::snprintf(name, sizeof(name), "parse_%dfn_%ut", n_funcs, threads);
+      std::snprintf(name, sizeof(name), "parse_%s_%ut", label.c_str(),
+                    threads);
       json.add(name, {{"wall_ms", best},
                       {"speedup", serial_ms / best},
                       {"blocks", static_cast<double>(blocks)}});
@@ -64,7 +75,7 @@ int main() {
     // speedup_4t, interpreted against hardware_threads (a 1-core host
     // bounds every config at ~1.0x regardless of scheduler quality).
     char name[64];
-    std::snprintf(name, sizeof(name), "parse_%dfn_scaling", n_funcs);
+    std::snprintf(name, sizeof(name), "parse_%s_scaling", label.c_str());
     json.add(name, {{"serial_ms", serial_ms},
                     {"speedup_4t", speedup_4t},
                     {"speedup_8t", speedup_8t},

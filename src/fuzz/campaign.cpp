@@ -2,11 +2,11 @@
 #include <algorithm>
 #include <cstring>
 
+#include "common/parallel.hpp"
 #include "common/status.hpp"
 #include "fuzz/fuzz.hpp"
 #include "obs/metrics.hpp"
 #include "obs/postmortem.hpp"
-#include "parse/scheduler.hpp"
 
 namespace rvdyn::fuzz {
 
@@ -171,8 +171,18 @@ void Campaign::add_seed(std::vector<std::uint8_t> input) {
   seeds_.push_back(std::move(input));
 }
 
-std::ptrdiff_t Campaign::execute_one(Worker& w,
-                                     const std::vector<std::uint8_t>& input) {
+bool Campaign::claim_exec(std::uint64_t* exec_no) {
+  std::uint64_t n = execs_.load(std::memory_order_relaxed);
+  do {
+    if (n >= opts_.max_execs || stop_.load(std::memory_order_acquire))
+      return false;
+  } while (!execs_.compare_exchange_weak(n, n + 1, std::memory_order_relaxed));
+  *exec_no = n + 1;
+  return true;
+}
+
+bool Campaign::execute_one(Worker& w, const std::vector<std::uint8_t>& input,
+                           std::uint64_t exec_no) {
   const auto rs = w.m.reset_to_snapshot(w.snap);
   w.c_resets_pages.add(rs.pages_restored);
   emu::Memory& mem = w.m.memory();
@@ -185,7 +195,6 @@ std::ptrdiff_t Campaign::execute_one(Worker& w,
 
   w.m.run(opts_.exec_step_budget);
   const emu::StopReason stop = w.m.last_stop();
-  const std::uint64_t exec_no = execs_.fetch_add(1) + 1;
   w.c_execs.add(1);
 
   if (is_crash(stop)) {
@@ -212,54 +221,37 @@ std::ptrdiff_t Campaign::execute_one(Worker& w,
   // when this run lit at least one local map slot for the first time. Lit
   // slots never read 0 again (see edge_snippet), so with one worker every
   // scan admits an input.
-  if (mem.read(kNewEdgesAddr, 8) == 0) return -1;
+  if (mem.read(kNewEdgesAddr, 8) == 0) return false;
   w.c_scans.add(1);
   read_map(w.m, w.map.data());
   const unsigned fresh = global_.merge(w.map.data());
-  if (fresh == 0) return -1;
+  if (fresh == 0) return false;
   w.c_admits.add(1);
-  const std::size_t idx = corpus_.add(input, fresh);
+  corpus_.add(input, fresh);
   if (opts_.collect_curve) {
     std::lock_guard lock(result_mu_);
     result_.coverage_curve.emplace_back(exec_no, global_.edges_seen());
   }
-  return static_cast<std::ptrdiff_t>(idx);
+  return true;
 }
 
-void Campaign::process_item(Worker& w, unsigned widx,
-                            parse::WorkStealingPool& pool,
-                            std::size_t corpus_idx) {
-  if (stop_.load(std::memory_order_acquire) ||
-      execs_.load(std::memory_order_relaxed) >= opts_.max_execs)
-    return;
-  const Corpus::Entry entry = corpus_.get(corpus_idx);
-  const unsigned rounds = opts_.batch * Corpus::energy(entry.novelty);
-  for (unsigned i = 0; i < rounds; ++i) {
-    if (stop_.load(std::memory_order_acquire) ||
-        execs_.load(std::memory_order_relaxed) >= opts_.max_execs)
-      return;
-    std::vector<std::uint8_t> data = entry.bytes;
-    w.mut.mutate(data, corpus_, opts_.max_input_len);
-    const std::ptrdiff_t admitted = execute_one(w, data);
-    if (admitted >= 0)
-      pool.push(widx, {static_cast<std::uint64_t>(admitted), nullptr});
-  }
-  // Chain the schedule: hand the pool a fresh energy-weighted pick so the
-  // campaign only drains when the exec budget (or a crash) stops it.
-  if (!stop_.load(std::memory_order_acquire) &&
-      execs_.load(std::memory_order_relaxed) < opts_.max_execs)
-    pool.push(widx, {corpus_.pick(w.mut.next()), nullptr});
-}
-
-void Campaign::run_worker(unsigned widx, parse::WorkStealingPool& pool) {
+void Campaign::run_worker(unsigned widx) {
   Worker& w = *workers_[widx];
-  parse::SchedStats stats;
-  pool.drain(
-      widx,
-      [&](const parse::ParseWork& item) {
-        process_item(w, widx, pool, static_cast<std::size_t>(item.entry));
-      },
-      &stats);
+  // Each pass mutates one corpus entry for batch × energy rounds, then
+  // draws the next entry by energy-weighted pick. Inputs admitted along the
+  // way are reachable only through later picks.
+  for (std::size_t idx = widx % corpus_.size();;
+       idx = corpus_.pick(w.mut.next())) {
+    const Corpus::Entry entry = corpus_.get(idx);
+    const unsigned rounds = opts_.batch * Corpus::energy(entry.novelty);
+    for (unsigned i = 0; i < rounds; ++i) {
+      std::uint64_t exec_no = 0;
+      if (!claim_exec(&exec_no)) return;
+      std::vector<std::uint8_t> data = entry.bytes;
+      w.mut.mutate(data, corpus_, opts_.max_input_len);
+      execute_one(w, data, exec_no);
+    }
+  }
 }
 
 CampaignResult Campaign::run() {
@@ -283,14 +275,10 @@ CampaignResult Campaign::run() {
   // with measured novelty (and the curve starts at the seeds' coverage).
   if (seeds_.empty()) seeds_.push_back({});
   for (const auto& s : seeds_)
-    if (execute_one(*workers_[0], s) < 0 && corpus_.size() == 0)
+    if (!execute_one(*workers_[0], s, ++execs_) && corpus_.size() == 0)
       corpus_.add(s, 0);  // keep at least one schedulable entry
 
-  parse::WorkStealingPool pool(opts_.workers);
-  for (unsigned i = 0; i < opts_.workers; ++i)
-    pool.push(i, {i % corpus_.size(), nullptr});
-  parse::run_on_workers(opts_.workers,
-                        [&](unsigned widx) { run_worker(widx, pool); });
+  run_on_workers(opts_.workers, [this](unsigned widx) { run_worker(widx); });
 
   result_.execs = execs_.load();
   result_.corpus_size = corpus_.size();

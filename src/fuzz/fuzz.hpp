@@ -18,8 +18,8 @@
 //    map *survives* resets and accumulates across the whole campaign.
 //
 //  * Campaign — the loop: a corpus scheduled by coverage novelty, a
-//    deterministic mutation engine, N workers sharded over the parse
-//    layer's work-stealing pool (each with a private Machine, snapshot and
+//    deterministic mutation engine, N workers each running its own loop
+//    on its own thread (with a private Machine, snapshot and
 //    `rvdyn.fuzz.w<i>.*` metric namespace), and crash triage through
 //    obs::postmortem_report.
 //
@@ -41,10 +41,6 @@
 #include "emu/machine.hpp"
 #include "patch/editor.hpp"
 #include "symtab/symtab.hpp"
-
-namespace rvdyn::parse {
-class WorkStealingPool;
-}  // namespace rvdyn::parse
 
 namespace rvdyn::fuzz {
 
@@ -134,8 +130,7 @@ class Corpus {
   std::size_t size() const;
   /// Mutation rounds an entry earns per schedule: 1 + log2(novelty+1).
   static unsigned energy(unsigned novelty);
-  /// Energy-weighted random pick (for re-scheduling when the queue runs
-  /// dry before the exec budget is spent).
+  /// Energy-weighted random pick: the entry a worker mutates next.
   std::size_t pick(std::uint64_t rng_state) const;
 
  private:
@@ -193,11 +188,13 @@ struct CampaignResult {
   bool found_crash() const { return !crashes.empty(); }
 };
 
-/// One fuzzing campaign over a coverage-woven target. Workers shard over
-/// parse::WorkStealingPool: each scheduled item is one corpus index, each
-/// execution is snapshot-reset + input write + run. Per-worker metrics land
-/// under `<metrics_prefix>.w<i>.*` (reset at campaign start via the scoped
-/// registry view, so back-to-back campaigns never accumulate).
+/// One fuzzing campaign over a coverage-woven target. Each worker is a
+/// loop on its own thread: pick a corpus entry, mutate and execute it
+/// batch × energy times, pick again. Each execution is snapshot-reset +
+/// input write + run; `max_execs` caps the executions of all workers
+/// together exactly. Per-worker metrics land under `<metrics_prefix>.w<i>.*`
+/// (reset at campaign start via the scoped registry view, so back-to-back
+/// campaigns never accumulate).
 class Campaign {
  public:
   /// `target` must follow the fuzz_input/fuzz_len contract; it is woven
@@ -217,12 +214,14 @@ class Campaign {
 
  private:
   struct Worker;
-  void run_worker(unsigned widx, parse::WorkStealingPool& pool);
-  /// Run one test case on `w`'s machine; returns the index of the corpus
-  /// entry it was admitted as (novel coverage), or -1.
-  std::ptrdiff_t execute_one(Worker& w, const std::vector<std::uint8_t>& input);
-  void process_item(Worker& w, unsigned widx, parse::WorkStealingPool& pool,
-                    std::size_t corpus_idx);
+  void run_worker(unsigned widx);
+  /// Take the next exec number from the global budget; false once the
+  /// budget is spent or a crash stopped the campaign.
+  bool claim_exec(std::uint64_t* exec_no);
+  /// Run one test case as exec `exec_no` on `w`'s machine; returns true
+  /// when it lit new global coverage and joined the corpus.
+  bool execute_one(Worker& w, const std::vector<std::uint8_t>& input,
+                   std::uint64_t exec_no);
 
   CampaignOptions opts_;
   WovenTarget woven_;

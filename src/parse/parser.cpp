@@ -1,37 +1,33 @@
 // The traversal parser: builds each function's CFG by following control
 // flow from its entry, splitting blocks at join points, classifying
 // jal/jalr transfers, and discovering new functions from call/tail-call
-// targets. Functions parse independently, so the work scales across a
-// work-stealing thread pool (the paper's "fast parallel algorithm").
-//
-// Parallel structure (see docs/parallel_parse.md):
-//  * WorkStealingPool (scheduler.hpp) — per-worker deques with batched
-//    steals replace the old single mutex+condvar entry queue.
-//  * FunctionRegistry (registry.hpp) — functions sharded by entry address;
-//    registration dedupes through a lock-free striped address set.
+// targets. Functions parse independently (the paper's "fast parallel
+// algorithm"), so the parse runs in waves (see docs/parallel_parse.md):
+//  * A wave is every registered function not yet parsed. parallel_for
+//    spreads it over the workers, each with its own decoder and its own
+//    list of found call targets.
+//  * Between waves the calling thread registers those targets into the
+//    CodeObject's function map; the new ones form the next wave.
 //  * The classify-time "is this a function entry" oracle answers from the
 //    seed set (symbols + ELF entry), frozen before traversal starts, so
 //    every CFG is a pure function of the binary regardless of the worker
-//    count or scheduling order. Jumps to functions discovered *during*
+//    count or wave order. Jumps to functions discovered *during*
 //    traversal are reclassified as tail calls in a deterministic finalize
 //    pass against the complete entry set.
-//  * The gap scan and the finalize pass fan across the same workers.
+//  * The gap scan and the finalize pass use the same parallel_for.
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <deque>
-#include <optional>
-#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
+#include "common/parallel.hpp"
 #include "isa/decoder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "parse/classify.hpp"
-#include "parse/registry.hpp"
-#include "parse/scheduler.hpp"
 
 namespace rvdyn::parse {
 
@@ -43,14 +39,11 @@ class Parser {
  public:
   Parser(CodeObject& co, const symtab::Symtab& st, const ParseOptions& opts,
          std::map<std::uint64_t, std::unique_ptr<Function>>& funcs)
-      : co_(co), st_(st), opts_(opts), funcs_(funcs),
-        decoder_(st.extensions().has(isa::Extension::I)
-                     ? st.extensions()
-                     : isa::ExtensionSet::rv64gc()),
-        registry_(st.symbols().size() + 256),
-        pool_(opts.num_threads < 1 ? 1 : opts.num_threads) {
-    // Re-parse support: functions from an earlier run keep their CFGs.
-    if (!funcs_.empty()) registry_.adopt(funcs_);
+      : co_(co), st_(st), opts_(opts), funcs_(funcs) {
+    const isa::Decoder dec(st.extensions().has(isa::Extension::I)
+                               ? st.extensions()
+                               : isa::ExtensionSet::rv64gc());
+    workers_.assign(opts.num_threads < 1 ? 1 : opts.num_threads, Worker(dec));
   }
 
   void run() {
@@ -59,7 +52,7 @@ class Parser {
       RVDYN_OBS_SPAN("rvdyn.parse.traversal");
       RVDYN_OBS_TIMER("rvdyn.parse.traversal_ns");
       seed_entries();
-      drain_all();
+      parse_waves();
     }
     if (opts_.gap_parsing) {
       RVDYN_OBS_SPAN("rvdyn.parse.gaps");
@@ -69,55 +62,55 @@ class Parser {
     {
       RVDYN_OBS_SPAN("rvdyn.parse.finalize");
       RVDYN_OBS_TIMER("rvdyn.parse.finalize_ns");
-      registry_.drain_into(funcs_);
       finalize_functions();
     }
     publish_totals();
   }
 
  private:
-  unsigned worker_count() const {
-    return opts_.num_threads < 1 ? 1 : opts_.num_threads;
-  }
+  /// What one worker owns during a parallel phase. Aligned so one worker's
+  /// decode tallies and found list never share a cache line with another's.
+  struct alignas(64) Worker {
+    explicit Worker(const isa::Decoder& d) : dec(d) {}
 
-  /// Run the pool's worker loop on every worker until all queued parse
-  /// work (including work discovered while parsing) is retired.
-  void drain_all() {
-    if (pool_.idle()) return;
-    run_on_workers(worker_count(), [this](unsigned w) {
-      if (w == 0) {
-        run_worker(0, decoder_);
-      } else {
-        // One decoder per worker: the profile is copied once and every
-        // decode in this thread goes through the same instance.
-        const isa::Decoder dec(decoder_.profile());
-        run_worker(w, dec);
-      }
+    isa::Decoder dec;
+    /// Call/tail-call targets and gap prologues, registered between waves.
+    std::vector<std::uint64_t> found;
+    std::uint64_t funcs = 0, blocks = 0;
+  };
+
+  /// Batches this small run on the calling thread: spawning threads costs
+  /// more than parsing a handful of functions (a call chain discovers one
+  /// function per wave).
+  static constexpr std::size_t kInlineBatch = 8;
+
+  /// Run `fn(worker, i)` for every i in [0, count), adding the workers'
+  /// wait at the join to the idle total.
+  template <typename Fn>
+  void for_each_index(std::size_t count, Fn&& fn) {
+    const unsigned n =
+        count <= kInlineBatch ? 1u : static_cast<unsigned>(workers_.size());
+    idle_ns_ += parallel_for(n, count, [&](unsigned w, std::size_t i) {
+      fn(workers_[w], i);
     });
   }
 
-  // Drain parse work on this thread. Publishes per-worker function and
-  // block counts so load imbalance across the pool shows up in metrics.
-  void run_worker(unsigned widx, const isa::Decoder& dec) {
-    std::uint64_t n_funcs = 0, n_blocks = 0;
-    SchedStats stats;
-    pool_.drain(
-        widx,
-        [&](const ParseWork& wk) {
-          n_blocks += parse_function(dec, wk, widx);
-          ++n_funcs;
-        },
-        &stats);
-    stats.accumulate_into(sched_totals_);
-#if RVDYN_OBS_ENABLED
-    if (n_funcs) {
-      const std::string prefix = "rvdyn.parse.worker." + std::to_string(widx);
-      obs::Counter(prefix + ".funcs").add(n_funcs);
-      obs::Counter(prefix + ".blocks").add(n_blocks);
+  /// Register the entries the workers found, parse the new functions as
+  /// one wave, and repeat until a wave finds no new function.
+  void parse_waves() {
+    for (;;) {
+      for (Worker& w : workers_) {
+        for (const std::uint64_t entry : w.found) register_function(entry, "");
+        w.found.clear();
+      }
+      if (wave_.empty()) return;
+      const std::vector<Function*> wave = std::move(wave_);
+      wave_.clear();
+      for_each_index(wave.size(), [&](Worker& w, std::size_t i) {
+        w.blocks += parse_function(w, wave[i]);
+        ++w.funcs;
+      });
     }
-#else
-    (void)widx;
-#endif
   }
 
   void publish_totals() const {
@@ -132,26 +125,15 @@ class Parser {
     RVDYN_OBS_COUNT_N("rvdyn.parse.blocks", blocks);
     RVDYN_OBS_COUNT_N("rvdyn.parse.insns", insns);
     RVDYN_OBS_COUNT_N("rvdyn.parse.unresolved", unresolved);
-    // Scheduler balance: steals move batches between worker deques; idle
-    // time is napping with an empty deque and nothing to steal.
-    RVDYN_OBS_COUNT_N("rvdyn.parse.steals",
-                      sched_totals_[0].load(std::memory_order_relaxed));
-    RVDYN_OBS_COUNT_N("rvdyn.parse.steal_items",
-                      sched_totals_[1].load(std::memory_order_relaxed));
-    RVDYN_OBS_COUNT_N("rvdyn.parse.sched.contended",
-                      sched_totals_[2].load(std::memory_order_relaxed));
-    RVDYN_OBS_COUNT_N("rvdyn.parse.sched.idle_ns",
-                      sched_totals_[3].load(std::memory_order_relaxed));
-    // Registry contention, per shard (only shards that saw traffic).
-    for (unsigned i = 0; i < FunctionRegistry::kShards; ++i) {
-      const auto ss = registry_.shard_stats(i);
-      const std::string prefix =
-          "rvdyn.parse.registry.shard." + std::to_string(i);
-      if (ss.creates) obs::Counter(prefix + ".creates").add(ss.creates);
-      if (ss.contended) obs::Counter(prefix + ".contended").add(ss.contended);
+    // Worker time spent waiting at a parallel phase's join: load imbalance.
+    RVDYN_OBS_COUNT_N("rvdyn.parse.sched.idle_ns", idle_ns_);
+    // Per-worker share of the parse, so imbalance shows up in metrics.
+    for (std::size_t w = 0; w < workers_.size(); ++w) {
+      if (!workers_[w].funcs) continue;
+      const std::string prefix = "rvdyn.parse.worker." + std::to_string(w);
+      obs::Counter(prefix + ".funcs").add(workers_[w].funcs);
+      obs::Counter(prefix + ".blocks").add(workers_[w].blocks);
     }
-    if (const std::uint64_t ov = registry_.overflow_size())
-      RVDYN_OBS_COUNT_N("rvdyn.parse.registry.overflow", ov);
 #endif
   }
 
@@ -170,36 +152,38 @@ class Parser {
       if (st_.in_code(sym->value)) seeds_.insert(sym->value);
     if (st_.entry && st_.in_code(st_.entry)) seeds_.insert(st_.entry);
 
-    unsigned w = 0;
     for (const symtab::Symbol* sym : st_.function_symbols()) {
       if (!st_.in_code(sym->value)) continue;
-      register_function(sym->value, sym->name, w++);
+      register_function(sym->value, sym->name);
     }
-    if (st_.entry && st_.in_code(st_.entry))
-      register_function(st_.entry, "", w);
+    if (st_.entry && st_.in_code(st_.entry)) register_function(st_.entry, "");
   }
 
   bool is_seed_entry(std::uint64_t a) const { return seeds_.count(a) != 0; }
 
   // Create the Function object for `entry` (unless already registered) and
-  // queue it on worker `widx`'s deque.
-  void register_function(std::uint64_t entry, const std::string& name,
-                         unsigned widx) {
-    auto [fn, inserted] = registry_.emplace(entry, [&]() -> std::string {
-      if (!name.empty()) return name;
-      const auto it = name_by_addr_.find(entry);
-      if (it != name_by_addr_.end()) return *it->second;
-      char buf[32];
-      std::snprintf(buf, sizeof(buf), "func_%llx",
-                    static_cast<unsigned long long>(entry));
-      return buf;
-    });
-    if (inserted) {
-      RVDYN_OBS_COUNT("rvdyn.parse.registry.creates");
-      pool_.push(widx, {entry, fn});
-    } else {
+  // add it to the next wave. Runs on the calling thread only.
+  void register_function(std::uint64_t entry, const std::string& name) {
+    auto [it, inserted] = funcs_.try_emplace(entry);
+    if (!inserted) {
       RVDYN_OBS_COUNT("rvdyn.parse.registry.dedup_hits");
+      return;
     }
+    RVDYN_OBS_COUNT("rvdyn.parse.registry.creates");
+    std::string fname = name;
+    if (fname.empty()) {
+      const auto nit = name_by_addr_.find(entry);
+      if (nit != name_by_addr_.end()) {
+        fname = *nit->second;
+      } else {
+        char buf[32];
+        std::snprintf(buf, sizeof(buf), "func_%llx",
+                      static_cast<unsigned long long>(entry));
+        fname = buf;
+      }
+    }
+    it->second = std::make_unique<Function>(entry, std::move(fname));
+    wave_.push_back(it->second.get());
   }
 
   // Fetch the raw bytes backing [addr, ...) from the code section.
@@ -212,27 +196,23 @@ class Parser {
     return s->data.data() + off;
   }
 
-  // Returns the number of blocks this call parsed (0 when already parsed).
-  std::uint64_t parse_function(const isa::Decoder& dec, const ParseWork& wk,
-                               unsigned widx) {
-    Function* f = wk.fn;
-    if (!f->blocks().empty()) return 0;  // already parsed
-
+  // Returns the number of blocks parsed.
+  std::uint64_t parse_function(Worker& w, Function* f) {
     FunctionStats& stats = f->mutable_stats();
-    std::deque<std::uint64_t> work{wk.entry};
+    std::deque<std::uint64_t> work{f->entry()};
     // Intra-function targets already queued: dense branch fan-in would
     // otherwise re-push the same join point once per incoming edge.
-    std::unordered_set<std::uint64_t> seen{wk.entry};
+    std::unordered_set<std::uint64_t> seen{f->entry()};
     while (!work.empty()) {
       const std::uint64_t start = work.front();
       work.pop_front();
       if (Block* existing = f->block_containing(start)) {
         if (existing->start() == start) continue;
-        split_block(dec, f, existing, start, widx);
+        split_block(w, f, existing, start);
         continue;
       }
       Block* b = f->add_block(start);
-      parse_block(dec, f, b, &work, &seen, &stats, widx);
+      parse_block(w, f, b, &work, &seen, &stats);
     }
 
     stats.n_blocks = static_cast<unsigned>(f->blocks().size());
@@ -244,8 +224,7 @@ class Parser {
 
   // Split `b` at `at` (which must be an instruction boundary inside b);
   // the suffix becomes a new block inheriting b's out-edges.
-  void split_block(const isa::Decoder& dec, Function* f, Block* b,
-                   std::uint64_t at, unsigned widx) {
+  void split_block(Worker& w, Function* f, Block* b, std::uint64_t at) {
     auto& insns = b->mutable_insns();
     std::size_t idx = 0;
     while (idx < insns.size() && insns[idx].addr != at) ++idx;
@@ -255,13 +234,13 @@ class Parser {
       Block* nb = f->add_block(at);
       std::deque<std::uint64_t> local;
       std::unordered_set<std::uint64_t> lseen;
-      parse_block(dec, f, nb, &local, &lseen, &f->mutable_stats(), widx);
+      parse_block(w, f, nb, &local, &lseen, &f->mutable_stats());
       for (std::uint64_t t : local)
         if (!f->block_containing(t)) {
           Block* tb = f->add_block(t);
           std::deque<std::uint64_t> l2;
           std::unordered_set<std::uint64_t> l2seen;
-          parse_block(dec, f, tb, &l2, &l2seen, &f->mutable_stats(), widx);
+          parse_block(w, f, tb, &l2, &l2seen, &f->mutable_stats());
         }
       return;
     }
@@ -274,10 +253,10 @@ class Parser {
     b->add_succ({EdgeType::Fallthrough, at});
   }
 
-  void parse_block(const isa::Decoder& dec, Function* f, Block* b,
+  void parse_block(Worker& w, Function* f, Block* b,
                    std::deque<std::uint64_t>* work,
                    std::unordered_set<std::uint64_t>* seen,
-                   FunctionStats* stats, unsigned widx) {
+                   FunctionStats* stats) {
     const std::uint64_t start = b->start();
     std::size_t avail = 0;
     const std::uint8_t* bytes = code_at(start, &avail);
@@ -286,7 +265,7 @@ class Parser {
     if (bytes) {
       // Batch-decode the straight-line run; the callback closes the block
       // at join points and control transfers.
-      consumed = dec.decode_range(
+      consumed = w.dec.decode_range(
           bytes, avail,
           [&](std::size_t off, const Instruction& insn, unsigned len) {
             const std::uint64_t cur = start + off;
@@ -310,7 +289,7 @@ class Parser {
               return false;
             }
             if (insn.is_jal() || insn.is_jalr()) {
-              handle_unconditional(f, b, work, seen, stats, next, widx);
+              handle_unconditional(w, f, b, work, seen, stats, next);
               closed = true;
               return false;
             }
@@ -342,11 +321,10 @@ class Parser {
     }
   }
 
-  void handle_unconditional(Function* f, Block* b,
+  void handle_unconditional(Worker& w, Function* f, Block* b,
                             std::deque<std::uint64_t>* work,
                             std::unordered_set<std::uint64_t>* seen,
-                            FunctionStats* stats, std::uint64_t next,
-                            unsigned widx) {
+                            FunctionStats* stats, std::uint64_t next) {
     ClassifyContext ctx;
     ctx.co = &co_;
     ctx.func = f;
@@ -354,7 +332,7 @@ class Parser {
     ctx.insn_index = static_cast<int>(b->insns().size()) - 1;
     ctx.max_table_entries = opts_.max_jump_table_entries;
     // The oracle is the pre-traversal seed set: immutable, so the answer —
-    // and therefore the CFG — cannot depend on what other workers have
+    // and therefore the CFG — cannot depend on which functions have been
     // discovered so far. Jumps to entries discovered during traversal are
     // promoted to tail calls in finalize_functions().
     ctx.is_entry = [this](std::uint64_t a) { return is_seed_entry(a); };
@@ -370,7 +348,7 @@ class Parser {
         if (c.target) {
           b->add_succ({EdgeType::Call, *c.target});
           f->add_callee(*c.target);
-          register_function(*c.target, "", widx);
+          w.found.push_back(*c.target);
         }
         b->add_succ({EdgeType::CallFallthrough, next});
         push_target(f, work, seen, next);
@@ -379,7 +357,7 @@ class Parser {
         ++stats->n_tail_calls;
         b->add_succ({EdgeType::TailCall, *c.target});
         f->add_callee(*c.target);
-        register_function(*c.target, "", widx);
+        w.found.push_back(*c.target);
         break;
       case BranchKind::Return:
         ++stats->n_returns;
@@ -413,15 +391,14 @@ class Parser {
   // Gap parsing (paper §2.1): scan byte ranges of code sections not claimed
   // by any parsed function for plausible function prologues and parse them
   // speculatively. Ranges are computed once from the traversal result, then
-  // scanned across the worker pool; discovered entries drain through the
-  // same scheduler.
+  // scanned in parallel; discovered entries are parsed in waves like the
+  // traversal's.
   void parse_gaps() {
     // Collect claimed ranges.
     std::vector<std::pair<std::uint64_t, std::uint64_t>> claimed;
-    registry_.for_each([&](Function* f) {
+    for (const auto& [entry, f] : funcs_)
       for (const auto& [a, b] : f->blocks())
         claimed.emplace_back(b->start(), b->end());
-    });
     std::sort(claimed.begin(), claimed.end());
 
     std::vector<std::pair<std::uint64_t, std::uint64_t>> ranges;
@@ -445,37 +422,22 @@ class Parser {
     }
     if (ranges.empty()) return;
 
-    // Each range is independent (one speculative entry per gap), so the
-    // scan fans across the workers; per-worker decoders as in traversal.
-    std::atomic<std::size_t> next{0};
-    run_on_workers(worker_count(), [&](unsigned w) {
-      std::optional<isa::Decoder> local;
-      const isa::Decoder* dec = &decoder_;
-      if (w != 0) {
-        local.emplace(decoder_.profile());
-        dec = &*local;
-      }
-      for (;;) {
-        const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= ranges.size()) break;
-        scan_gap(*dec, ranges[i].first, ranges[i].second, w);
-      }
+    // Each range is independent (one speculative entry per gap).
+    for_each_index(ranges.size(), [&](Worker& w, std::size_t i) {
+      scan_gap(w, ranges[i].first, ranges[i].second);
     });
-
-    // New functions found in gaps still need parsing.
-    drain_all();
+    parse_waves();
   }
 
   // Heuristic prologue match at the start of a gap range: a stack
   // adjustment (addi sp, sp, -N / c.addi16sp) opens most functions.
-  void scan_gap(const isa::Decoder& dec, std::uint64_t from, std::uint64_t to,
-                unsigned widx) {
+  void scan_gap(Worker& w, std::uint64_t from, std::uint64_t to) {
     for (std::uint64_t a = (from + 1) & ~1ULL; a + 2 <= to;) {
       std::size_t avail = 0;
       const std::uint8_t* bytes = code_at(a, &avail);
       if (!bytes) return;
       std::uint64_t found = 0;
-      const std::size_t consumed = dec.decode_range(
+      const std::size_t consumed = w.dec.decode_range(
           bytes, avail,
           [&](std::size_t off, const Instruction& insn, unsigned) {
             if (a + off + 2 > to) return false;  // past the gap
@@ -489,7 +451,7 @@ class Parser {
           });
       if (found) {
         RVDYN_OBS_COUNT("rvdyn.parse.gap_functions");
-        register_function(found, "", widx);
+        w.found.push_back(found);
         return;  // one speculative entry per gap; its parse claims the rest
       }
       // decode_range stopped at an undecodable parcel: resync past it.
@@ -501,36 +463,22 @@ class Parser {
   // edges whose target is a (possibly traversal- or gap-discovered)
   // function entry to TailCall edges, drop the speculatively-parsed blocks
   // that the jump dragged into this function, and rebuild pred lists.
-  // Independent per function, so it fans across the workers.
+  // Independent per function, so it runs as one parallel_for.
   void finalize_functions() {
     std::vector<Function*> all;
     all.reserve(funcs_.size());
     for (auto& [a, f] : funcs_) all.push_back(f.get());
 
-    constexpr std::size_t kBatch = 64;
-    std::atomic<std::size_t> next{0};
-    std::atomic<std::uint64_t> flipped_total{0}, pruned_total{0};
-    run_on_workers(worker_count(), [&](unsigned) {
-      std::uint64_t flipped = 0, pruned = 0;
-      for (;;) {
-        const std::size_t base =
-            next.fetch_add(kBatch, std::memory_order_relaxed);
-        if (base >= all.size()) break;
-        const std::size_t end = std::min(all.size(), base + kBatch);
-        for (std::size_t i = base; i < end; ++i) {
-          const auto [nf, np] = fixup_tail_calls(all[i]);
-          flipped += nf;
-          pruned += np;
-          all[i]->rebuild_preds();
-        }
-      }
-      flipped_total.fetch_add(flipped, std::memory_order_relaxed);
-      pruned_total.fetch_add(pruned, std::memory_order_relaxed);
+    std::atomic<std::uint64_t> flipped{0}, pruned{0};
+    for_each_index(all.size(), [&](Worker&, std::size_t i) {
+      const auto [nf, np] = fixup_tail_calls(all[i]);
+      all[i]->rebuild_preds();
+      if (nf == 0) return;
+      flipped.fetch_add(nf, std::memory_order_relaxed);
+      pruned.fetch_add(np, std::memory_order_relaxed);
     });
-    RVDYN_OBS_COUNT_N("rvdyn.parse.tailcall_fixups",
-                      flipped_total.load(std::memory_order_relaxed));
-    RVDYN_OBS_COUNT_N("rvdyn.parse.pruned_blocks",
-                      pruned_total.load(std::memory_order_relaxed));
+    RVDYN_OBS_COUNT_N("rvdyn.parse.tailcall_fixups", flipped.load());
+    RVDYN_OBS_COUNT_N("rvdyn.parse.pruned_blocks", pruned.load());
   }
 
   std::pair<std::uint64_t, std::uint64_t> fixup_tail_calls(Function* f) {
@@ -539,7 +487,7 @@ class Parser {
       for (Edge& e : b->mutable_succs()) {
         if (e.type != EdgeType::Jump) continue;
         if (e.target == f->entry()) continue;
-        if (!registry_.contains(e.target)) continue;
+        if (funcs_.count(e.target) == 0) continue;
         e.type = EdgeType::TailCall;
         f->add_callee(e.target);
         ++f->mutable_stats().n_tail_calls;
@@ -560,13 +508,11 @@ class Parser {
   const symtab::Symtab& st_;
   ParseOptions opts_;
   std::map<std::uint64_t, std::unique_ptr<Function>>& funcs_;
-  isa::Decoder decoder_;
-  FunctionRegistry registry_;
-  WorkStealingPool pool_;
+  std::vector<Worker> workers_;
+  std::vector<Function*> wave_;  ///< registered, not yet parsed
+  std::uint64_t idle_ns_ = 0;    ///< summed join waits of parallel phases
   std::unordered_set<std::uint64_t> seeds_;  ///< frozen before traversal
   std::unordered_map<std::uint64_t, const std::string*> name_by_addr_;
-  /// steals, steal_items, contended, idle_ns (see SchedStats).
-  std::atomic<std::uint64_t> sched_totals_[4] = {};
 };
 
 }  // namespace

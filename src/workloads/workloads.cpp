@@ -390,6 +390,25 @@ std::string many_function_program(int n_funcs) {
   return out.str();
 }
 
+std::string call_tree_program(int n_funcs, int fanout) {
+  std::ostringstream out;
+  out << "    .text\n    .globl _start\n_start:\n";
+  if (n_funcs > 0) out << "    call f0\n";
+  out << "    li a0, 0\n    li a7, 93\n    ecall\n";
+  for (long i = 0; i < n_funcs; ++i) {
+    out << "f" << i << ":\n";
+    out << "    addi sp, sp, -16\n    sd ra, 8(sp)\n";
+    out << "    li t0, " << (i % 17) << "\n    li t1, 0\n";
+    out << "f" << i << "_loop:\n";
+    out << "    addi t1, t1, 1\n";
+    out << "    blt t1, t0, f" << i << "_loop\n";
+    for (long c = i * fanout + 1; c <= i * fanout + fanout && c < n_funcs; ++c)
+      out << "    call f" << c << "\n";
+    out << "    ld ra, 8(sp)\n    addi sp, sp, 16\n    ret\n";
+  }
+  return out.str();
+}
+
 std::string fuzz_target_program(const std::string& magic) {
   std::ostringstream out;
   out << R"(# Fuzzing mutatee: checksum the input, then compare it byte-by-byte

@@ -35,6 +35,13 @@ std::string dispatch_program(int iterations);
 /// `n_funcs` functions with branches, loops and cross-calls.
 std::string many_function_program(int n_funcs);
 
+/// Symbol-less call graph for parse benchmarks: `n_funcs` functions under
+/// plain (non-.globl) labels, function k calling functions k*fanout+1 ..
+/// k*fanout+fanout. Only `_start` is a symbol, so a parser finds every
+/// function through a call: fanout 1 is a chain (one new function per
+/// discovery round), fanout 2 a binary tree (rounds double in width).
+std::string call_tree_program(int n_funcs, int fanout);
+
 /// Insertion sort of `n` pseudo-random 64-bit keys (memory- and
 /// branch-heavy; nested data-dependent loops). Exits 0 when the array is
 /// sorted, 1 otherwise, so instrumented runs are self-checking.

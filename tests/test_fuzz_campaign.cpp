@@ -81,6 +81,24 @@ TEST(FuzzCampaign, MultiWorkerShardsAndStillFindsTheBug) {
   EXPECT_GT(w0, 0u);  // worker 0 at least ran the seed calibration
 }
 
+// max_execs is one budget for all workers together: each exec claims its
+// number before it runs, so the workers racing for the last execs cannot
+// overshoot it.
+TEST(FuzzCampaign, MultiWorkerBudgetIsExact) {
+  auto opts = fast_opts(4);
+  opts.max_execs = 20000;
+  opts.stop_on_crash = false;
+  fuzz::Campaign c(target_binary("RV!"), opts);
+  const auto r = c.run();
+  EXPECT_EQ(r.execs, opts.max_execs);
+
+  const auto& reg = obs::Registry::instance();
+  std::uint64_t sum = 0;
+  for (unsigned w = 0; w < opts.workers; ++w)
+    sum += reg.value("rvdyn.fuzz.w" + std::to_string(w) + ".execs");
+  EXPECT_EQ(sum, r.execs);
+}
+
 // The guest-side gate must be exact: with one worker the local map and the
 // global set light the same slots, so every 64 KiB map scan admits an
 // input. A gate that re-fires on wrapped hit counters scanned 523 times for

@@ -1,10 +1,9 @@
-// Parallel-parse determinism: the work-stealing traversal must produce
+// Parallel-parse determinism: the wave-parallel traversal must produce
 // byte-identical CFGs at every thread count — same function sets, block
-// boundaries, instruction streams, edge lists, and stats. Also unit-tests
-// the two concurrent structures underneath it (AtomicAddrSet,
-// WorkStealingPool) under real thread contention.
+// boundaries, instruction streams, edge lists, stats and address index.
+// Also unit-tests parallel_for, the loop every parallel phase runs on.
 //
-// Build with -DRVDYN_SANITIZE=thread to run these under TSan.
+// The tsan_obs_suite ctest runs this binary under ThreadSanitizer.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,25 +14,21 @@
 #include <vector>
 
 #include "assembler/assembler.hpp"
+#include "common/parallel.hpp"
 #include "parse/cfg.hpp"
-#include "parse/registry.hpp"
-#include "parse/scheduler.hpp"
 #include "workloads/workloads.hpp"
 
 namespace {
 
 using namespace rvdyn;
-using parse::AtomicAddrSet;
 using parse::CodeObject;
 using parse::EdgeType;
-using parse::ParseWork;
-using parse::SchedStats;
-using parse::WorkStealingPool;
 
 // Canonical textual form of a parsed CodeObject: every function (sorted by
 // entry), its name, callees, stats, and every block's boundaries,
-// instruction encodings, successor edges (in stored order), and pred list.
-// Two parses are considered identical iff their dumps match byte-for-byte.
+// instruction encodings, successor edges (in stored order), and pred list,
+// then the address index. Two parses are considered identical iff their
+// dumps match byte-for-byte.
 std::string canonical_dump(const CodeObject& co) {
   std::ostringstream os;
   os << std::hex;
@@ -61,29 +56,51 @@ std::string canonical_dump(const CodeObject& co) {
       os << '\n';
     }
   }
+  for (const auto& seg : co.addr_index())
+    os << "seg " << seg.start << '-' << seg.end << ' ' << seg.func->entry()
+       << '\n';
   return os.str();
 }
 
-std::string parse_dump(const symtab::Symtab& st, unsigned threads) {
+std::string parse_dump(const symtab::Symtab& st, unsigned threads,
+                       std::size_t* n_funcs = nullptr) {
   CodeObject co(st);
   parse::ParseOptions opts;
   opts.num_threads = threads;
   co.parse(opts);
+  if (n_funcs) *n_funcs = co.functions().size();
   return canonical_dump(co);
 }
 
-// The headline determinism check from the issue: the 2000-function
-// workload parsed at 1/2/4/8 threads, several reps each to shake out
-// scheduling races, must match the single-thread parse exactly.
+// The headline determinism check: each input parsed at 2/4/8 threads,
+// several reps each to shake out scheduling races, must match the
+// single-thread parse exactly. The call chain and the call tree have no
+// function symbols below _start, so every function is found through a
+// call: the chain parses as one wave per function, the tree as waves that
+// double in width.
 TEST(ParseParallel, DeterministicAcrossThreadCounts) {
-  symtab::Symtab st = assembler::assemble(workloads::many_function_program(2000));
-  const std::string ref = parse_dump(st, 1);
-  ASSERT_FALSE(ref.empty());
-  for (unsigned threads : {2u, 4u, 8u}) {
-    for (int rep = 0; rep < 3; ++rep) {
-      SCOPED_TRACE(testing::Message()
-                   << "threads=" << threads << " rep=" << rep);
-      EXPECT_EQ(parse_dump(st, threads), ref);
+  struct Input {
+    const char* name;
+    std::string src;
+    std::size_t n_funcs;  ///< functions the parse must find, incl. _start
+  };
+  const Input inputs[] = {
+      {"many_function", workloads::many_function_program(2000), 2001},
+      {"call_chain", workloads::call_tree_program(300, 1), 301},
+      {"call_tree", workloads::call_tree_program(1023, 2), 1024},
+  };
+  for (const Input& in : inputs) {
+    SCOPED_TRACE(in.name);
+    const symtab::Symtab st = assembler::assemble(in.src);
+    std::size_t n_funcs = 0;
+    const std::string ref = parse_dump(st, 1, &n_funcs);
+    EXPECT_EQ(n_funcs, in.n_funcs);
+    for (unsigned threads : {2u, 4u, 8u}) {
+      for (int rep = 0; rep < 3; ++rep) {
+        SCOPED_TRACE(testing::Message()
+                     << "threads=" << threads << " rep=" << rep);
+        EXPECT_EQ(parse_dump(st, threads), ref);
+      }
     }
   }
 }
@@ -179,86 +196,30 @@ _start:
   }
 }
 
-// Re-parsing through the same CodeObject-equivalent flow (registry adopt
-// path) keeps results stable.
+// Two parses of one binary at the same thread count agree.
 TEST(ParseParallel, RepeatedParseIsStable) {
   symtab::Symtab st = assembler::assemble(workloads::many_function_program(200));
   EXPECT_EQ(parse_dump(st, 4), parse_dump(st, 4));
 }
 
-// Exactly one concurrent inserter of each address may win, and every
-// inserted address must be visible to lock-free contains() afterwards.
-TEST(ParseParallel, AtomicAddrSetConcurrentInsertUniqueness) {
-  constexpr std::uint64_t kN = 8192;
-  AtomicAddrSet set(kN);
-  std::atomic<std::uint64_t> wins{0};
-  parse::run_on_workers(4, [&](unsigned) {
-    std::uint64_t local = 0;
-    for (std::uint64_t i = 0; i < kN; ++i)
-      if (set.insert(0x10000 + i * 2)) ++local;
-    wins.fetch_add(local, std::memory_order_relaxed);
-  });
-  EXPECT_EQ(wins.load(), kN);
-  for (std::uint64_t i = 0; i < kN; ++i)
-    EXPECT_TRUE(set.contains(0x10000 + i * 2)) << "missing addr index " << i;
-  EXPECT_FALSE(set.contains(0x10000 + kN * 2));
-  EXPECT_FALSE(set.contains(1));
-}
-
-// Undersized table: the probe chains fill and inserts spill into the
-// per-stripe overflow sets. Membership must still be exact.
-TEST(ParseParallel, AtomicAddrSetOverflowPath) {
-  AtomicAddrSet set(16);  // ~4k slots total; 16k inserts force overflow
-  constexpr std::uint64_t kN = 16384;
-  parse::run_on_workers(2, [&](unsigned) {
-    for (std::uint64_t i = 0; i < kN; ++i) set.insert(0x2000 + i * 4);
-  });
-  EXPECT_GT(set.overflow_size(), 0u);
-  for (std::uint64_t i = 0; i < kN; ++i)
-    ASSERT_TRUE(set.contains(0x2000 + i * 4)) << "missing addr index " << i;
-  EXPECT_FALSE(set.contains(0x2000 + kN * 4));
-}
-
-// Tasks that spawn tasks: drain() must retire the whole tree exactly once
-// across workers, and the pool must be idle when every drain returns.
-TEST(ParseParallel, WorkStealingPoolRunsEverySpawnedTask) {
-  constexpr std::uint64_t kLeafBound = 1024;  // spawn while entry < bound
-  WorkStealingPool pool(4);
-  std::atomic<std::uint64_t> executed{0};
-  std::atomic<std::uint64_t> sum{0};
-  pool.push(0, ParseWork{1, nullptr});
-  parse::run_on_workers(pool.workers(), [&](unsigned w) {
-    SchedStats stats{};
-    pool.drain(
-        w,
-        [&, w](const ParseWork& item) {
-          executed.fetch_add(1, std::memory_order_relaxed);
-          sum.fetch_add(item.entry, std::memory_order_relaxed);
-          if (item.entry < kLeafBound) {
-            pool.push(w, ParseWork{item.entry * 2, nullptr});
-            pool.push(w, ParseWork{item.entry * 2 + 1, nullptr});
-          }
-        },
-        &stats);
-  });
-  EXPECT_TRUE(pool.idle());
-  // Complete binary tree over entries 1..2047: 2047 nodes summing to
-  // 2047*2048/2.
-  EXPECT_EQ(executed.load(), 2047u);
-  EXPECT_EQ(sum.load(), 2047u * 2048u / 2);
-}
-
-// Single-worker drain degrades to a plain LIFO loop and must terminate
-// without any other thread to wake it.
-TEST(ParseParallel, WorkStealingPoolSingleWorker) {
-  WorkStealingPool pool(1);
-  std::uint64_t executed = 0;
-  for (std::uint64_t i = 0; i < 100; ++i) pool.push(0, ParseWork{i + 1, nullptr});
-  SchedStats stats{};
-  pool.drain(0, [&](const ParseWork&) { ++executed; }, &stats);
-  EXPECT_EQ(executed, 100u);
-  EXPECT_TRUE(pool.idle());
-  EXPECT_EQ(stats.steals, 0u);
+// parallel_for hands every index to exactly one worker, for empty,
+// single-item, uneven and large ranges at every worker count.
+TEST(ParseParallel, ParallelForRunsEveryIndexOnce) {
+  for (const unsigned workers : {1u, 2u, 4u, 8u}) {
+    for (const std::size_t count : {0u, 1u, 7u, 1000u}) {
+      SCOPED_TRACE(testing::Message()
+                   << "workers=" << workers << " count=" << count);
+      std::vector<std::atomic<unsigned>> runs(count);
+      std::atomic<bool> bad_worker{false};
+      parallel_for(workers, count, [&](unsigned w, std::size_t i) {
+        runs[i].fetch_add(1, std::memory_order_relaxed);
+        if (w >= workers) bad_worker = true;
+      });
+      for (std::size_t i = 0; i < count; ++i)
+        EXPECT_EQ(runs[i].load(), 1u) << "index " << i;
+      EXPECT_FALSE(bad_worker.load());
+    }
+  }
 }
 
 }  // namespace

@@ -2,7 +2,10 @@
 # suite: the metrics registry's lock-free sharded counters, the trace
 # sink's wait-free ring, and the sampler/export/postmortem layers on top.
 # Any data race in a hook that fires from concurrent tool threads is a
-# correctness bug in the observability layer's core promise. Run via
+# correctness bug in the observability layer's core promise. The same tree
+# also runs the two suites that drive threads through the toolkit: the
+# wave-parallel parser (test_parse_parallel) and multi-worker fuzz
+# campaigns (test_fuzz_campaign). Run via
 #   cmake -P tests/tsan_obs_check.cmake
 # (registered as the `tsan_obs_suite` ctest from non-sanitized builds).
 #
@@ -31,14 +34,17 @@ if(NOT rc EQUAL 0)
   message(FATAL_ERROR "tsan-obs check: configure failed")
 endif()
 
-# Every binary carrying the obs_suite label in the main build.
+# Every binary carrying the obs_suite label in the main build, plus the
+# parallel parser and the fuzz campaign.
 set(targets
   test_obs
   test_obs_export
   test_obs_pipeline
   test_obs_postmortem
   test_obs_profiler
-  test_obs_sampler)
+  test_obs_sampler
+  test_parse_parallel
+  test_fuzz_campaign)
 
 execute_process(
   COMMAND ${CMAKE_COMMAND} --build ${BINARY_DIR} -j ${JOBS} --target ${targets}
@@ -57,4 +63,6 @@ foreach(t ${targets})
   endif()
 endforeach()
 
-message(STATUS "tsan-obs check: obs suite clean under ThreadSanitizer")
+message(STATUS
+  "tsan-obs check: obs, parallel-parse and campaign suites clean under "
+  "ThreadSanitizer")
