@@ -4,12 +4,17 @@
 // CodeGenAPI's *dead-register optimization* (paper §4.3): instrumentation
 // that needs scratch registers first asks for registers that are dead at
 // the instrumentation point, avoiding spills entirely when some exist.
+//
+// The solver runs on flat data: blocks are numbered in address order, each
+// instruction's transfer is one (kill, use) pair folded into one pair per
+// block, and the fixpoint is bit operations over index vectors. Once it
+// converges, the live-before set of every instruction is stored, so every
+// query is a lookup.
 #pragma once
 
-#include <map>
+#include <cstdint>
+#include <utility>
 #include <vector>
-
-#include <optional>
 
 #include "parse/cfg.hpp"
 
@@ -25,17 +30,18 @@ class Liveness {
   /// where untouched pass-through registers must not count as reads.
   enum class ReturnBoundary { Abi, None };
 
-  /// Computes liveness for every instruction of `f`. The function's pred
-  /// lists must be up to date (CodeObject::parse leaves them rebuilt).
-  /// With `summaries`, calls to resolved callees use their interprocedural
-  /// (may-use, must-def) sets instead of the full ABI clobber model,
-  /// exposing more dead registers at call boundaries.
+  /// Computes liveness for every instruction of `f`. With `summaries`,
+  /// calls to resolved callees use their interprocedural (may-use,
+  /// must-def) sets instead of the full ABI clobber model, exposing more
+  /// dead registers at call boundaries.
   explicit Liveness(const parse::Function& f,
                     const Summaries* summaries = nullptr,
                     ReturnBoundary boundary = ReturnBoundary::Abi);
 
   /// Registers live immediately before instruction `index` of `block`
-  /// (i.e. whose current values may still be read on some path).
+  /// (i.e. whose current values may still be read on some path). A block
+  /// that is not one of the function's own is analysed from an all-live
+  /// exit.
   isa::RegSet live_before(const parse::Block* block, std::size_t index) const;
 
   /// Registers live after the last instruction of `block`.
@@ -60,15 +66,24 @@ class Liveness {
   static isa::RegSet call_defs();
 
  private:
-  isa::RegSet transfer(const parse::ParsedInsn& pi, isa::RegSet live,
-                       std::optional<std::uint64_t> callee) const;
-  /// Resolved call/tail-call target of `block`'s terminator, if any.
-  std::optional<std::uint64_t> resolved_callee(const parse::Block* b) const;
+  /// One instruction's transfer: live-before = (live-after - kill) | use.
+  using Effect = std::pair<isa::RegSet, isa::RegSet>;
 
-  const parse::Function& func_;
+  /// `callee`: the resolved target of a call terminator, else 0.
+  Effect effect(const parse::ParsedInsn& pi, std::uint64_t callee) const;
+  /// Address-order index of the block starting at `a`, or -1.
+  std::ptrdiff_t index_at(std::uint64_t a) const;
+  /// Address-order index of `b`, or -1 when `b` is not one of the
+  /// function's blocks.
+  std::ptrdiff_t index_of(const parse::Block* b) const;
+
   const Summaries* summaries_ = nullptr;
-  std::map<const parse::Block*, isa::RegSet> live_in_;
-  std::map<const parse::Block*, isa::RegSet> live_out_;
+  std::vector<std::uint64_t> starts_;         ///< block starts, ascending
+  std::vector<const parse::Block*> blocks_;   ///< parallel to starts_
+  /// Block i's sets occupy live_[first_[i] .. first_[i + 1]): the
+  /// live-before set of each instruction, then the block's live-out.
+  std::vector<std::uint32_t> first_;
+  std::vector<isa::RegSet> live_;
 };
 
 }  // namespace rvdyn::dataflow

@@ -95,11 +95,6 @@ void BinaryEditor::build_plan() {
   RVDYN_OBS_SPAN("rvdyn.patch.commit");
   auto plan = std::make_unique<PatchPlan>();
 
-  // Group insertions by function.
-  std::map<std::uint64_t, std::vector<std::pair<Point, SnippetPtr>>> by_func;
-  for (const auto& [p, snippets] : insertions_)
-    for (const auto& s : snippets) by_func[p.func].emplace_back(p, s);
-
   const isa::ExtensionSet exts = binary_.extensions();
   const bool rvc = exts.has(isa::Extension::C);
   codegen::GenOptions gopts;
@@ -118,41 +113,49 @@ void BinaryEditor::build_plan() {
   struct Springboard {
     std::uint64_t at;      // original address to patch
     std::uint64_t budget;  // overwritable bytes
-    std::uint64_t block;   // relocated label key
-    isa::RegSet dead;      // dead registers at the original point
+    std::size_t func;      // the block's function, by add_function order
+    const Block* block;    // the block it enters
+    const dataflow::Liveness* live;  // dead registers at the original point
   };
   std::vector<Springboard> boards;
 
-  for (const auto& [fentry, items] : by_func) {
-    const Function* f = co_->function_at(fentry);
+  // insertions_ is ordered by Point, whose first key is the function: each
+  // function's points form one run.
+  std::size_t func_index = 0;
+  for (auto run = insertions_.begin(); run != insertions_.end();
+       ++func_index) {
+    const Function* f = co_->function_at(run->first.func);
     if (!f) throw Error("patch: unknown function in insertion set");
     ++stats_.relocated_functions;
 
     // Sort snippets by anchor kind for the lowering pass.
     reloc::WeaveSpec spec;
-    for (const auto& [p, s] : items) {
+    for (; run != insertions_.end() && run->first.func == f->entry(); ++run) {
+      const Point& p = run->first;
+      std::vector<SnippetPtr>* into = nullptr;
       switch (p.type) {
         case PointType::FuncEntry:
-          spec.at_block_entry[f->entry()].push_back(s);
+          into = &spec.at_block_entry[f->entry()];
           break;
         case PointType::BlockEntry:
-          spec.at_block_entry[p.block].push_back(s);
+          into = &spec.at_block_entry[p.block];
           break;
         case PointType::FuncExit:
         case PointType::CallSite:
-          spec.before_term[p.block].push_back(s);
+          into = &spec.before_term[p.block];
           break;
         case PointType::Instruction:
-          spec.before_insn[p.aux].push_back(s);
+          into = &spec.before_insn[p.aux];
           break;
         case PointType::Edge:
         case PointType::LoopEntry:
         case PointType::LoopBackedge:
-          spec.on_edge[{p.block, p.aux}].push_back(s);
+          into = &spec.on_edge[{p.block, p.aux}];
           break;
       }
+      into->insert(into->end(), run->second.begin(), run->second.end());
     }
-    mover.add_function(f, std::move(spec));
+    const dataflow::Liveness& live = mover.add_function(f, std::move(spec));
 
     // ---- springboards: function entry + indirect-jump targets ----
     // After relocation the original function body is dead except at the
@@ -160,7 +163,6 @@ void BinaryEditor::build_plan() {
     // everything up to the next springboard (or the function's extent end),
     // not just its own basic block. This lets 2-byte entry blocks take a
     // full jal/auipc+jalr instead of degrading to a trap.
-    dataflow::Liveness live(*f, &summaries);
     std::set<std::uint64_t> boarded{f->entry()};
     for (const auto& [a, b] : f->blocks())
       for (const parse::Edge& e : b->succs())
@@ -172,12 +174,9 @@ void BinaryEditor::build_plan() {
       if (!blk) continue;
       auto next = std::next(it);
       const std::uint64_t limit = next != boarded.end() ? *next : extent_end;
-      Springboard sb;
-      sb.at = *it;
-      sb.budget = limit > *it ? limit - *it : blk->end() - blk->start();
-      sb.block = *it;
-      sb.dead = live.dead_before(blk, 0);
-      boards.push_back(sb);
+      const std::uint64_t budget =
+          limit > *it ? limit - *it : blk->end() - blk->start();
+      boards.push_back({*it, budget, func_index, blk, &live});
     }
   }
 
@@ -189,7 +188,7 @@ void BinaryEditor::build_plan() {
 
   // ---- springboard ladder: c.j -> jal -> auipc+jalr -> trap ----
   for (const Springboard& sb : boards) {
-    const std::uint64_t target = mover.label_addr(sb.block);
+    const std::uint64_t target = mover.label_addr(sb.at, sb.func);
     plan->relocated_entry[sb.at] = target;
     const std::int64_t delta = static_cast<std::int64_t>(target) -
                                static_cast<std::int64_t>(sb.at);
@@ -211,7 +210,8 @@ void BinaryEditor::build_plan() {
       ++stats_.entry_jal;
     }
     if (bytes.empty() && sb.budget >= 8) {
-      const Reg scratch = pick_dead_scratch(sb.dead);
+      const Reg scratch =
+          pick_dead_scratch(sb.live->dead_before(sb.block, 0));
       std::int64_t hi, lo;
       if (!(scratch == isa::zero) && isa::split_hi_lo(delta, &hi, &lo)) {
         append_raw(isa::assemble(Mnemonic::auipc,

@@ -1,12 +1,13 @@
-// CodeMover: the pass-based relocation engine (Dyninst's relocation
-// architecture, paper §3.1).
+// CodeMover: the relocation engine (Dyninst's relocation architecture,
+// paper §3.1).
 //
-// Each instrumented function is lowered into the widget IR, then an
-// explicit pass list transforms the module:
-//   lower   CFG blocks -> widgets (labels bound, control flow symbolic)
-//   weave   generate snippet code into the SnippetWidget placeholders,
-//           scratch registers chosen from DataflowAPI's point-granularity
-//           dead sets
+// Each instrumented function is lowered into the widget IR, then a fixed
+// pipeline of passes transforms the module:
+//   lower   CFG blocks -> widgets (labels bound, control flow symbolic);
+//           every label reference is then resolved once to a dense id,
+//           within the referencing function first
+//   weave   generate snippet code into the snippet anchors, scratch
+//           registers chosen from the function's DataflowAPI dead sets
 //   rvc     re-compress relocated 4-byte encodings to their C forms
 //           (profile-gated; relocation otherwise inflates RVC code)
 //   relax   iterative branch-reach relaxation to a fixed point: every
@@ -14,8 +15,7 @@
 //           when the laid-out displacement demands it — replacing the old
 //           one-shot pessimistic size estimate
 //   emit    serialize widgets at their final layout
-// Passes observe/update MoverModule; new transformer passes (peephole,
-// point batching) slot into the list without touching emission.
+// Each pass is a plain function over MoverModule (mover.cpp).
 #pragma once
 
 #include <cstdint>
@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "codegen/codegen.hpp"
+#include "dataflow/liveness.hpp"
 #include "parse/cfg.hpp"
 #include "patch/reloc/widget.hpp"
 
@@ -52,11 +53,11 @@ struct WeaveSpec {
   }
 };
 
-/// One pending weave: which SnippetWidget to fill and where the
+/// One pending weave: which snippet anchor to fill and where the
 /// instrumentation point lives for the liveness query.
 struct WeaveItem {
   std::size_t widget_index = 0;
-  std::vector<codegen::SnippetPtr> snippets;
+  const std::vector<codegen::SnippetPtr>* snippets = nullptr;  ///< in spec
   const parse::Block* live_block = nullptr;  ///< nullptr: no liveness info
   std::size_t live_index = 0;
   std::uint64_t anchor_addr = 0;  ///< nonzero: point-granularity dead_at()
@@ -66,11 +67,17 @@ struct WeaveItem {
 struct FunctionImage {
   const parse::Function* func = nullptr;
   WeaveSpec spec;
-  std::vector<WidgetPtr> widgets;
-  /// A label binds immediately before the widget at its index (an index of
-  /// widgets.size() binds past the last widget).
-  std::map<LabelKey, std::size_t> label_at;
-  std::vector<std::uint64_t> widget_addr;  ///< layout result, by index
+  std::unique_ptr<const dataflow::Liveness> live;
+  std::vector<Widget> widgets;
+  /// Label ids bound in this function, sorted by key. A label binds
+  /// immediately before its widget.
+  std::vector<std::pair<LabelKey, std::uint32_t>> labels;
+  /// Keys referenced by this function's CondBranch/Jump widgets while
+  /// lowering (Widget::label indexes it until labels are resolved).
+  std::vector<LabelKey> refs;
+  /// Layout result: widget i starts at widget_addr[i]; the extra last
+  /// entry is the function's end.
+  std::vector<std::uint64_t> widget_addr;
   std::vector<WeaveItem> weave_items;
 };
 
@@ -99,41 +106,28 @@ struct MoverModule {
   codegen::CodeGenerator* gen = nullptr;
   const dataflow::Summaries* summaries = nullptr;
   std::vector<FunctionImage> funcs;
-  Layout layout;
+  InsnPool pool;
+  /// Label id -> (function index, widget index it binds before).
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> labels;
+  std::vector<std::uint64_t> label_addr;  ///< layout result, by label id
   std::vector<std::uint8_t> text;  ///< emission output
   RelocStats stats;
 };
 
-/// One transformer in the pipeline.
-class Pass {
- public:
-  virtual ~Pass() = default;
-  virtual const char* name() const = 0;
-  virtual void run(MoverModule& m) = 0;
-};
-
-std::unique_ptr<Pass> make_lower_pass();
-std::unique_ptr<Pass> make_weave_pass();
-std::unique_ptr<Pass> make_rvc_pass();
-std::unique_ptr<Pass> make_relax_pass();
-std::unique_ptr<Pass> make_emit_pass();
-
-/// Recompute every widget and label address sequentially from m.base.
-/// Relaxation re-runs this after each growth round; the final call leaves
-/// the layout emission reads.
-void run_layout(MoverModule& m);
-
 class CodeMover {
  public:
+  /// `add_function` index meaning "no function": label lookups go
+  /// straight to the module-wide binding.
+  static constexpr std::size_t kAnyFunction = static_cast<std::size_t>(-1);
+
   CodeMover(std::uint64_t base, bool rvc, codegen::CodeGenerator* gen,
             const dataflow::Summaries* summaries);
 
-  /// Queue `f` for relocation with `spec` woven in.
-  void add_function(const parse::Function* f, WeaveSpec spec);
-
-  /// Insert an extra transformer between weaving and re-compression
-  /// (peephole-style passes; emission never needs to know).
-  void add_pass(std::unique_ptr<Pass> p);
+  /// Queue `f` for relocation with `spec` woven in. Returns the function's
+  /// liveness, computed once here and shared by the weave pass and the
+  /// caller (valid for the mover's lifetime).
+  const dataflow::Liveness& add_function(const parse::Function* f,
+                                         WeaveSpec spec);
 
   /// Run the pipeline; returns the relocated text. Each pass gets an obs
   /// trace span and a rvdyn.patch.pass.<name>.ns gauge.
@@ -142,17 +136,14 @@ class CodeMover {
   const RelocStats& stats() const { return module_.stats; }
   const MoverModule& module() const { return module_; }
 
-  /// Relocated address of an original block (valid after run()).
-  std::uint64_t label_addr(std::uint64_t block) const {
-    return module_.layout.addr_of(LabelKey::at(block));
-  }
-  bool has_label(std::uint64_t block) const {
-    return module_.layout.label_addr.count(LabelKey::at(block)) != 0;
-  }
+  /// Relocated address of an original block (valid after run()). With
+  /// `func` — the block's function, by add_function order — that
+  /// function's own copy wins over other functions sharing the block.
+  std::uint64_t label_addr(std::uint64_t block,
+                           std::size_t func = kAnyFunction) const;
 
  private:
   MoverModule module_;
-  std::vector<std::unique_ptr<Pass>> extra_passes_;
 };
 
 }  // namespace rvdyn::patch::reloc

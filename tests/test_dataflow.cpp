@@ -1,22 +1,35 @@
 // DataflowAPI tests: register liveness (validated against the dead-register
-// optimization's requirements), stack-height analysis, and slicing.
+// optimization's requirements and against a straightforward reference
+// solver), interprocedural summaries, stack-height analysis, and slicing.
 #include <gtest/gtest.h>
+
+#include <deque>
+#include <functional>
+#include <map>
+#include <optional>
 
 #include "assembler/assembler.hpp"
 #include "dataflow/liveness.hpp"
 #include "dataflow/slicing.hpp"
 #include "dataflow/stack_height.hpp"
+#include "dataflow/summaries.hpp"
+#include "parse/callgraph.hpp"
 #include "parse/cfg.hpp"
+#include "workloads/workloads.hpp"
 
 namespace {
 
 using namespace rvdyn;
+using dataflow::FuncSummary;
 using dataflow::Liveness;
 using dataflow::Slicer;
+using dataflow::Summaries;
 using dataflow::StackHeightAnalysis;
 using parse::Block;
 using parse::CodeObject;
+using parse::EdgeType;
 using parse::Function;
+using isa::RegSet;
 
 struct Parsed {
   symtab::Symtab st;
@@ -164,6 +177,300 @@ f:
   Liveness live(*f);
   // With unresolved flow, nothing (except never-dead regs) may be dead.
   EXPECT_TRUE(live.dead_before(f->entry_block(), 0).empty());
+}
+
+// ---- reference solvers ----
+//
+// The straightforward formulations the production solvers must agree
+// with: liveness as a map-keyed FIFO worklist that re-walks a block for
+// every query, must-def as a map-keyed forward worklist. Callee summaries
+// come through `Lookup`, so the reference can run on its own summaries or
+// on the production ones.
+
+using Lookup = std::function<const FuncSummary*(std::uint64_t)>;
+
+class RefLiveness {
+ public:
+  RefLiveness(const Function& f, Lookup lookup, Liveness::ReturnBoundary rb)
+      : func_(f), lookup_(std::move(lookup)) {
+    std::deque<const Block*> work;
+    for (const auto& [a, b] : f.blocks()) {
+      live_in_[b.get()] = RegSet();
+      live_out_[b.get()] = RegSet();
+      work.push_back(b.get());
+    }
+    const RegSet at_return = rb == Liveness::ReturnBoundary::Abi
+                                 ? Liveness::abi_live_at_return()
+                                 : RegSet();
+    while (!work.empty()) {
+      const Block* b = work.front();
+      work.pop_front();
+      RegSet out;
+      for (const parse::Edge& e : b->succs()) {
+        switch (e.type) {
+          case EdgeType::Return:
+            out |= at_return;
+            break;
+          case EdgeType::TailCall: {
+            const FuncSummary* s =
+                lookup_ && e.target ? lookup_(e.target) : nullptr;
+            out |= s ? s->may_use : Liveness::call_uses();
+            break;
+          }
+          case EdgeType::Unresolved:
+            out |= ~RegSet();
+            break;
+          case EdgeType::Call:
+            break;
+          default:
+            if (const Block* t = func_.block_at(e.target))
+              out |= live_in_.at(t);
+            break;
+        }
+      }
+      live_out_[b] = out;
+      const RegSet in = walk(b, out, 0);
+      if (!(in == live_in_.at(b))) {
+        live_in_[b] = in;
+        for (const Block* p : b->preds()) work.push_back(p);
+      }
+    }
+  }
+
+  RegSet live_out(const Block* b) const {
+    auto it = live_out_.find(b);
+    return it == live_out_.end() ? ~RegSet() : it->second;
+  }
+  RegSet live_in(const Block* b) const {
+    auto it = live_in_.find(b);
+    return it == live_in_.end() ? ~RegSet() : it->second;
+  }
+  RegSet live_before(const Block* b, std::size_t index) const {
+    return walk(b, live_out(b), index);
+  }
+  RegSet dead_at(std::uint64_t addr) const {
+    const Block* b = func_.block_containing(addr);
+    if (!b) return RegSet();
+    for (std::size_t i = 0; i < b->insns().size(); ++i)
+      if (b->insns()[i].addr == addr) {
+        RegSet dead = ~live_before(b, i);
+        dead.remove(isa::zero);
+        dead.remove(isa::sp);
+        dead.remove(isa::gp);
+        dead.remove(isa::tp);
+        return dead;
+      }
+    return RegSet();
+  }
+
+ private:
+  RegSet walk(const Block* b, RegSet live, std::size_t index) const {
+    std::optional<std::uint64_t> callee;
+    for (const parse::Edge& e : b->succs())
+      if ((e.type == EdgeType::Call || e.type == EdgeType::TailCall) &&
+          e.target) {
+        callee = e.target;
+        break;
+      }
+    const auto& insns = b->insns();
+    for (std::size_t i = insns.size(); i > index; --i)
+      live = transfer(insns[i - 1].insn, live,
+                      i == insns.size() ? callee : std::nullopt);
+    return live;
+  }
+
+  RegSet transfer(const isa::Instruction& insn, RegSet live,
+                  std::optional<std::uint64_t> callee) const {
+    if ((insn.is_jal() || insn.is_jalr()) && !(insn.link_reg() == isa::zero)) {
+      RegSet uses = Liveness::call_uses();
+      RegSet kills = Liveness::call_defs();
+      if (lookup_ && callee)
+        if (const FuncSummary* s = lookup_(*callee)) {
+          uses = s->may_use;
+          kills = s->must_def;
+        }
+      kills |= insn.regs_written();
+      return ((live - kills) | uses) | insn.regs_read();
+    }
+    if (insn.has_flag(isa::F_ECALL)) {
+      live.remove(isa::a0);
+      live.remove(isa::a1);
+      for (std::uint8_t n = 10; n <= 17; ++n) live.add(isa::x(n));
+      return live;
+    }
+    return (live - insn.regs_written()) | insn.regs_read();
+  }
+
+  const Function& func_;
+  Lookup lookup_;
+  std::map<const Block*, RegSet> live_in_, live_out_;
+};
+
+bool ref_intraproc(EdgeType t) {
+  return t == EdgeType::Fallthrough || t == EdgeType::Taken ||
+         t == EdgeType::NotTaken || t == EdgeType::Jump ||
+         t == EdgeType::IndirectJump || t == EdgeType::CallFallthrough;
+}
+
+RegSet ref_must_def(const Function& f, const Lookup& lookup) {
+  const Block* entry = f.entry_block();
+  if (!entry) return RegSet();
+  std::map<const Block*, RegSet> in;
+  std::deque<const Block*> work{entry};
+  in[entry] = RegSet();
+  auto block_out = [&](const Block* b, RegSet defs) {
+    std::optional<std::uint64_t> callee;
+    for (const parse::Edge& e : b->succs())
+      if ((e.type == EdgeType::Call || e.type == EdgeType::TailCall) &&
+          e.target)
+        callee = e.target;
+    for (std::size_t i = 0; i < b->insns().size(); ++i) {
+      const auto& insn = b->insns()[i].insn;
+      defs |= insn.regs_written();
+      const bool is_call = (insn.is_jal() || insn.is_jalr()) &&
+                           !(insn.link_reg() == isa::zero);
+      if (is_call && i + 1 == b->insns().size() && callee)
+        if (const FuncSummary* s = lookup(*callee)) defs |= s->must_def;
+    }
+    return defs;
+  };
+  while (!work.empty()) {
+    const Block* b = work.front();
+    work.pop_front();
+    const RegSet out = block_out(b, in.at(b));
+    for (const parse::Edge& e : b->succs()) {
+      if (!ref_intraproc(e.type)) continue;
+      const Block* t = f.block_at(e.target);
+      if (!t) continue;
+      auto it = in.find(t);
+      if (it == in.end()) {
+        in[t] = out;
+        work.push_back(t);
+      } else if (!((it->second & out) == it->second)) {
+        it->second = it->second & out;
+        work.push_back(t);
+      }
+    }
+  }
+  bool any_exit = false;
+  RegSet result = ~RegSet();
+  for (const auto& [a, blk] : f.blocks()) {
+    const Block* b = blk.get();
+    if (!in.count(b)) continue;
+    bool exits = false;
+    for (const parse::Edge& e : b->succs())
+      exits = exits || e.type == EdgeType::Return ||
+              e.type == EdgeType::TailCall;
+    if (!exits) continue;
+    any_exit = true;
+    result &= block_out(b, in.at(b));
+  }
+  return any_exit ? result : ~RegSet();
+}
+
+std::map<std::uint64_t, FuncSummary> ref_summaries(const CodeObject& co) {
+  std::map<std::uint64_t, FuncSummary> out;
+  const Lookup lookup = [&](std::uint64_t e) -> const FuncSummary* {
+    auto it = out.find(e);
+    return it == out.end() ? nullptr : &it->second;
+  };
+  const parse::CallGraph cg(co);
+  for (std::uint64_t entry : cg.bottom_up_order()) {
+    const Function* f = co.function_at(entry);
+    if (!f || !f->entry_block()) continue;
+    FuncSummary s;
+    s.may_use = RefLiveness(*f, lookup, Liveness::ReturnBoundary::None)
+                    .live_before(f->entry_block(), 0);
+    s.must_def = ref_must_def(*f, lookup);
+    s.must_def.remove(isa::zero);
+    s.precise = f->stats().n_unresolved == 0 &&
+                !cg.has_unknown_callees().count(entry);
+    if (!s.precise) {
+      s.may_use |= Liveness::call_uses();
+      s.must_def = RegSet();
+    }
+    out[entry] = s;
+  }
+  return out;
+}
+
+// Every query of `live` against the reference at every instruction of `f`,
+// plus queries on `foreign`, a block of another function.
+void expect_same_liveness(const Function& f, const Liveness& live,
+                          const RefLiveness& ref, const Block* foreign,
+                          const std::string& ctx) {
+  for (const auto& [a, blk] : f.blocks()) {
+    const Block* b = blk.get();
+    ASSERT_EQ(live.live_in(b).bits(), ref.live_in(b).bits()) << ctx;
+    ASSERT_EQ(live.live_out(b).bits(), ref.live_out(b).bits()) << ctx;
+    for (std::size_t i = 0; i <= b->insns().size(); ++i)
+      ASSERT_EQ(live.live_before(b, i).bits(), ref.live_before(b, i).bits())
+          << ctx << " block 0x" << std::hex << a << " index " << i;
+    for (const parse::ParsedInsn& pi : b->insns()) {
+      ASSERT_EQ(live.dead_at(pi.addr).bits(), ref.dead_at(pi.addr).bits())
+          << ctx << " at 0x" << std::hex << pi.addr;
+      ASSERT_EQ(live.dead_at(pi.addr + 1).bits(),
+                ref.dead_at(pi.addr + 1).bits())
+          << ctx;
+    }
+  }
+  if (!foreign) return;
+  ASSERT_EQ(live.live_in(foreign).bits(), ref.live_in(foreign).bits()) << ctx;
+  ASSERT_EQ(live.live_out(foreign).bits(), ref.live_out(foreign).bits())
+      << ctx;
+  for (std::size_t i = 0; i <= foreign->insns().size(); ++i)
+    ASSERT_EQ(live.live_before(foreign, i).bits(),
+              ref.live_before(foreign, i).bits())
+        << ctx << " foreign block, index " << i;
+}
+
+// The index-based solvers agree with the reference at every instruction of
+// every workload program, under both return boundaries, with and without
+// interprocedural summaries; and every function summary agrees too.
+TEST(LivenessOracle, MatchesReferenceOnEveryWorkload) {
+  const std::vector<std::pair<std::string, std::string>> programs = {
+      {"matmul", workloads::matmul_program(8, 1)},
+      {"call_churn", workloads::call_churn_program(10)},
+      {"fib", workloads::fib_program(6)},
+      {"dispatch", workloads::dispatch_program(10)},
+      {"many_function", workloads::many_function_program(150)},
+      {"call_tree_chain", workloads::call_tree_program(200, 1)},
+      {"call_tree_binary", workloads::call_tree_program(200, 2)},
+      {"sort", workloads::sort_program(10)},
+      {"fuzz_target", workloads::fuzz_target_program("RV!")},
+  };
+  for (const auto& [name, src] : programs) {
+    auto p = parse_src(src);
+    const Summaries sums(*p.co);
+    const auto ref_sums = ref_summaries(*p.co);
+    std::size_t compared = 0;
+    for (const auto& [entry, want] : ref_sums) {
+      const FuncSummary* got = sums.lookup(entry);
+      ASSERT_NE(got, nullptr) << name;
+      EXPECT_EQ(got->may_use.bits(), want.may_use.bits()) << name;
+      EXPECT_EQ(got->must_def.bits(), want.must_def.bits()) << name;
+      EXPECT_EQ(got->precise, want.precise) << name;
+      ++compared;
+    }
+    EXPECT_GT(compared, 0u) << name;
+
+    const Lookup with_sums = [&](std::uint64_t e) { return sums.lookup(e); };
+    const Block* prev_entry = nullptr;
+    for (const auto& [entry, f] : p.co->functions()) {
+      for (const auto rb :
+           {Liveness::ReturnBoundary::Abi, Liveness::ReturnBoundary::None}) {
+        const std::string ctx =
+            name + ":" + f->name() +
+            (rb == Liveness::ReturnBoundary::Abi ? " abi" : " none");
+        expect_same_liveness(*f, Liveness(*f, nullptr, rb),
+                             RefLiveness(*f, nullptr, rb), prev_entry, ctx);
+        expect_same_liveness(*f, Liveness(*f, &sums, rb),
+                             RefLiveness(*f, with_sums, rb), prev_entry,
+                             ctx + " +summaries");
+      }
+      prev_entry = f->entry_block();
+    }
+  }
 }
 
 // ---- stack height ----

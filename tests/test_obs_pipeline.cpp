@@ -8,6 +8,7 @@
 
 #include "assembler/assembler.hpp"
 #include "codegen/snippet.hpp"
+#include "dataflow/summaries.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "patch/editor.hpp"
@@ -47,6 +48,7 @@ TEST(ObsPipeline, TraceAndMetricsCoverTheWholeStack) {
   const std::string json = sink.chrome_json();
   EXPECT_NE(json.find("rvdyn.asm.assemble"), std::string::npos);
   EXPECT_NE(json.find("rvdyn.parse"), std::string::npos);
+  EXPECT_NE(json.find("rvdyn.dataflow.summaries"), std::string::npos);
   EXPECT_NE(json.find("rvdyn.patch.commit"), std::string::npos);
   EXPECT_NE(json.find("rvdyn.emu.load"), std::string::npos);
   EXPECT_NE(json.find("rvdyn.proc.continue_run"), std::string::npos);
@@ -68,6 +70,42 @@ TEST(ObsPipeline, TraceAndMetricsCoverTheWholeStack) {
   EXPECT_NE(metrics.find("rvdyn.emu."), std::string::npos);
   EXPECT_NE(metrics.find("rvdyn.parse."), std::string::npos);
   EXPECT_NE(metrics.find("rvdyn.patch."), std::string::npos);
+#endif
+}
+
+// Each analysis is computed once: a commit runs Liveness once per function
+// that Summaries analyses, plus once per relocated function, which the
+// weave pass and the springboards share.
+TEST(ObsPipeline, CommitRunsLivenessOncePerRelocatedFunction) {
+  const symtab::Symtab bin =
+      assembler::assemble(workloads::many_function_program(200), {});
+  patch::BinaryEditor editor(bin);
+  const obs::Registry& r = obs::Registry::instance();
+  const char* kRuns = "rvdyn.dataflow.liveness.runs";
+
+  const std::uint64_t r0 = r.value(kRuns);
+  { const dataflow::Summaries standalone(editor.code()); }
+  const std::uint64_t per_summaries = r.value(kRuns) - r0;
+
+  const auto v = editor.alloc_var("entries");
+  for (const auto& [entry, f] : editor.code().functions())
+    editor.insert_at(entry, patch::PointType::FuncEntry,
+                     codegen::increment(v));
+  const std::uint64_t r1 = r.value(kRuns);
+  editor.commit();
+  const std::uint64_t runs = r.value(kRuns) - r1;
+
+  EXPECT_EQ(editor.stats().relocated_functions,
+            editor.code().functions().size());
+#if RVDYN_OBS_ENABLED
+  std::uint64_t analysed = 0;
+  for (const auto& [entry, f] : editor.code().functions())
+    analysed += f->entry_block() != nullptr;
+  EXPECT_EQ(per_summaries, analysed);
+  EXPECT_EQ(runs, per_summaries + editor.stats().relocated_functions);
+#else
+  EXPECT_EQ(per_summaries, 0u);  // the counter compiles out
+  EXPECT_EQ(runs, 0u);
 #endif
 }
 

@@ -375,6 +375,56 @@ beta:
   EXPECT_EQ(run_binary(rewritten, &m), 13);  // still bit-exact
 }
 
+// ---- blocks shared by two relocated functions ------------------------------
+
+// Regression: `shared` is a block of both f (reached by `j shared`) and g
+// (its branch target and fallthrough), so both relocated copies bind the
+// label. Control flow must resolve to the jumping function's own copy:
+// resolving module-wide let the function laid out last (g) win, and f's
+// jump skipped f's BlockEntry counter on `shared`.
+TEST(PatchReloc, JumpIntoSharedBlockStaysInOwnCopy) {
+  const auto bin = assembler::assemble(R"(
+    .globl _start
+    .globl f
+    .globl g
+_start:
+    li s0, 0
+    call f
+    call g
+    mv a0, s0
+    li a7, 93
+    ecall
+f:
+    addi s0, s0, 1
+    j shared
+g:
+    addi s0, s0, 10
+    bnez s0, shared
+shared:
+    addi s0, s0, 100
+    ret
+)");
+  ASSERT_EQ(run_binary(bin), 211);
+
+  BinaryEditor editor(bin);
+  const auto* f = editor.code().function_named("f");
+  const auto* g = editor.code().function_named("g");
+  ASSERT_NE(f, nullptr);
+  ASSERT_NE(g, nullptr);
+  const std::uint64_t shared = bin.find_symbol("shared")->value;
+  ASSERT_NE(f->block_at(shared), nullptr);
+  ASSERT_NE(g->block_at(shared), nullptr);
+
+  const auto f_blocks = editor.alloc_var("f_blocks");
+  const auto g_entries = editor.alloc_var("g_entries");
+  editor.insert_at(f->entry(), PointType::BlockEntry, increment(f_blocks));
+  editor.insert_at(g->entry(), PointType::FuncEntry, increment(g_entries));
+  Machine m;
+  EXPECT_EQ(run_binary(editor.commit(), &m), 211);
+  EXPECT_EQ(m.memory().read(f_blocks.addr, 8), 2u);  // f's entry + shared
+  EXPECT_EQ(m.memory().read(g_entries.addr, 8), 1u);
+}
+
 // ---- both backends produce identical behaviour ----------------------------
 
 TEST(PatchReloc, StaticAndDynamicBackendsAgreeBitExact) {
