@@ -107,38 +107,28 @@ Liveness::Effect Liveness::effect(const parse::ParsedInsn& pi,
 
 Liveness::Liveness(const parse::Function& f, const Summaries* summaries,
                    ReturnBoundary boundary)
-    : summaries_(summaries) {
+    : summaries_(summaries), num_(f) {
   RVDYN_OBS_COUNT("rvdyn.dataflow.liveness.runs");
-  const std::size_t n = f.blocks().size();
-  starts_.reserve(n);
-  blocks_.reserve(n);
-  first_.reserve(n + 1);
-  first_.push_back(0);
-  for (const auto& [a, b] : f.blocks()) {
-    starts_.push_back(a);
-    blocks_.push_back(b.get());
-    first_.push_back(first_.back() +
-                     static_cast<std::uint32_t>(b->insns().size() + 1));
-  }
+  const std::size_t n = num_.size();
 
   // Per-instruction effects, folded into one (kill, use) pair per block;
   // successor lists as indices; the constant part of each live-out that
   // interprocedural and unknown edges contribute.
   const RegSet at_return =
       boundary == ReturnBoundary::Abi ? abi_live_at_return() : RegSet();
-  std::vector<Effect> effects(first_.back());
+  std::vector<Effect> effects(num_.first(n));
   std::vector<Effect> block_effect(n);
   std::vector<RegSet> base_out(n);
   std::vector<std::uint32_t> succ_first(n + 1, 0);
   std::vector<std::uint32_t> succs;
   for (std::size_t i = 0; i < n; ++i) {
-    const Block* b = blocks_[i];
+    const Block* b = num_.block(i);
     const auto& insns = b->insns();
     const std::uint64_t callee = resolved_callee(b);
     RegSet kill, use;
     for (std::size_t k = insns.size(); k-- > 0;) {
       const Effect e = effect(insns[k], k + 1 == insns.size() ? callee : 0);
-      effects[first_[i] + k] = e;
+      effects[num_.first(i) + k] = e;
       use = (use - e.first) | e.second;
       kill |= e.first;
     }
@@ -161,7 +151,7 @@ Liveness::Liveness(const parse::Function& f, const Summaries* summaries,
         case EdgeType::Call:
           break;  // interprocedural; handled by the call transfer itself
         default: {
-          const std::ptrdiff_t t = index_at(e.target);
+          const std::ptrdiff_t t = num_.index_at(e.target);
           if (t >= 0) succs.push_back(static_cast<std::uint32_t>(t));
           break;
         }
@@ -191,43 +181,33 @@ Liveness::Liveness(const parse::Function& f, const Summaries* summaries,
   }
 
   // Materialize every instruction's live-before set once.
-  live_.resize(first_.back());
+  live_.resize(num_.first(n));
   for (std::size_t i = 0; i < n; ++i) {
-    std::uint32_t at = first_[i + 1] - 1;
+    std::uint32_t at = num_.first(i + 1) - 1;
     RegSet live = out_of(i, in);
     live_[at] = live;
-    while (at-- > first_[i]) {
+    while (at-- > num_.first(i)) {
       live = (live - effects[at].first) | effects[at].second;
       live_[at] = live;
     }
   }
 }
 
-std::ptrdiff_t Liveness::index_at(std::uint64_t a) const {
-  auto it = std::lower_bound(starts_.begin(), starts_.end(), a);
-  return it != starts_.end() && *it == a ? it - starts_.begin() : -1;
-}
-
-std::ptrdiff_t Liveness::index_of(const Block* b) const {
-  const std::ptrdiff_t i = index_at(b->start());
-  return i >= 0 && blocks_[i] == b ? i : -1;
-}
-
 RegSet Liveness::live_out(const Block* block) const {
-  const std::ptrdiff_t i = index_of(block);
-  return i < 0 ? ~RegSet() : live_[first_[i + 1] - 1];
+  const std::ptrdiff_t i = num_.index_of(block);
+  return i < 0 ? ~RegSet() : live_[num_.first(i + 1) - 1];
 }
 
 RegSet Liveness::live_in(const Block* block) const {
-  const std::ptrdiff_t i = index_of(block);
-  return i < 0 ? ~RegSet() : live_[first_[i]];
+  const std::ptrdiff_t i = num_.index_of(block);
+  return i < 0 ? ~RegSet() : live_[num_.first(i)];
 }
 
 RegSet Liveness::live_before(const Block* block, std::size_t index) const {
   const auto& insns = block->insns();
   index = std::min(index, insns.size());
-  const std::ptrdiff_t i = index_of(block);
-  if (i >= 0) return live_[first_[i] + index];
+  const std::ptrdiff_t i = num_.index_of(block);
+  if (i >= 0) return live_[num_.first(i) + index];
   RegSet live = ~RegSet();
   const std::uint64_t callee = resolved_callee(block);
   for (std::size_t k = insns.size(); k > index; --k) {
@@ -242,16 +222,8 @@ RegSet Liveness::dead_before(const Block* block, std::size_t index) const {
 }
 
 RegSet Liveness::dead_at(std::uint64_t addr) const {
-  auto it = std::upper_bound(starts_.begin(), starts_.end(), addr);
-  if (it == starts_.begin()) return RegSet();
-  const std::size_t i = static_cast<std::size_t>(it - starts_.begin()) - 1;
-  const auto& insns = blocks_[i]->insns();
-  if (!blocks_[i]->contains(addr)) return RegSet();
-  auto at = std::lower_bound(
-      insns.begin(), insns.end(), addr,
-      [](const parse::ParsedInsn& pi, std::uint64_t a) { return pi.addr < a; });
-  if (at == insns.end() || at->addr != addr) return RegSet();
-  return dead_of(live_[first_[i] + (at - insns.begin())]);
+  const std::ptrdiff_t p = num_.point_at(addr);
+  return p < 0 ? RegSet() : dead_of(live_[p]);
 }
 
 }  // namespace rvdyn::dataflow

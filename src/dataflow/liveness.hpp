@@ -16,6 +16,7 @@
 #include <utility>
 #include <vector>
 
+#include "dataflow/block_numbering.hpp"
 #include "parse/cfg.hpp"
 
 namespace rvdyn::dataflow {
@@ -71,18 +72,11 @@ class Liveness {
 
   /// `callee`: the resolved target of a call terminator, else 0.
   Effect effect(const parse::ParsedInsn& pi, std::uint64_t callee) const;
-  /// Address-order index of the block starting at `a`, or -1.
-  std::ptrdiff_t index_at(std::uint64_t a) const;
-  /// Address-order index of `b`, or -1 when `b` is not one of the
-  /// function's blocks.
-  std::ptrdiff_t index_of(const parse::Block* b) const;
 
   const Summaries* summaries_ = nullptr;
-  std::vector<std::uint64_t> starts_;         ///< block starts, ascending
-  std::vector<const parse::Block*> blocks_;   ///< parallel to starts_
-  /// Block i's sets occupy live_[first_[i] .. first_[i + 1]): the
-  /// live-before set of each instruction, then the block's live-out.
-  std::vector<std::uint32_t> first_;
+  BlockNumbering num_;
+  /// One set per point of num_: the live-before set of each instruction,
+  /// then the block's live-out.
   std::vector<isa::RegSet> live_;
 };
 

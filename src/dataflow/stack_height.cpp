@@ -1,5 +1,6 @@
 #include "dataflow/stack_height.hpp"
 
+#include <algorithm>
 #include <deque>
 
 #include "parse/loops.hpp"
@@ -45,6 +46,28 @@ std::optional<SrcAdjust> adjust_src(const isa::Instruction& insn) {
   return std::nullopt;
 }
 
+/// For every block, whether block `s` dominates it (reflexively), given
+/// each block's immediate dominator (the entry's is itself, -1 marks an
+/// unreached block). Each answer is settled once: a walk up the dominator
+/// tree stops at the first block already settled.
+std::vector<std::int8_t> dominated_by(std::ptrdiff_t s,
+                                      const std::vector<std::ptrdiff_t>& idom) {
+  std::vector<std::int8_t> dom(idom.size(), -1);  // -1: not settled yet
+  std::vector<std::size_t> chain;
+  for (std::size_t i = 0; i < idom.size(); ++i) {
+    std::size_t b = i;
+    while (dom[b] < 0 && static_cast<std::ptrdiff_t>(b) != s && idom[b] >= 0 &&
+           static_cast<std::size_t>(idom[b]) != b) {
+      chain.push_back(b);
+      b = static_cast<std::size_t>(idom[b]);
+    }
+    if (dom[b] < 0) dom[b] = static_cast<std::ptrdiff_t>(b) == s;
+    for (const std::size_t c : chain) dom[c] = dom[b];
+    chain.clear();
+  }
+  return dom;
+}
+
 }  // namespace
 
 HeightState StackHeightAnalysis::apply(const parse::ParsedInsn& pi,
@@ -88,53 +111,55 @@ HeightState StackHeightAnalysis::merge(const HeightState& a,
 }
 
 StackHeightAnalysis::StackHeightAnalysis(const parse::Function& f)
-    : func_(f) {
-  const Block* entry = f.entry_block();
-  if (!entry) return;
+    : num_(f) {
+  const std::size_t n = num_.size();
+  points_.resize(num_.first(n));
+  const std::ptrdiff_t entry = num_.index_at(f.entry());
+  if (entry < 0) return;
 
-  // Forward worklist; components merge to "unknown" on conflict.
-  std::deque<const Block*> work{entry};
-  in_[entry] = HeightState{0, std::nullopt, true};
-  reached_[entry] = true;
-
+  // Forward worklist over block indices; the first edge to reach a block
+  // sets its in-state, later ones merge components to "unknown" on
+  // conflict.
+  std::vector<HeightState> in(n);
+  std::vector<bool> reached(n, false);
+  std::deque<std::size_t> work{static_cast<std::size_t>(entry)};
+  in[entry] = HeightState{0, std::nullopt, true};
+  reached[entry] = true;
   while (!work.empty()) {
-    const Block* b = work.front();
+    const std::size_t b = work.front();
     work.pop_front();
-    HeightState s = in_.at(b);
-    for (const auto& pi : b->insns()) s = apply(pi, s);
-    out_[b] = s;
-    for (const parse::Edge& e : b->succs()) {
+    HeightState s = in[b];
+    for (const auto& pi : num_.block(b)->insns()) s = apply(pi, s);
+    for (const parse::Edge& e : num_.block(b)->succs()) {
       if (!is_intraproc(e.type)) continue;
-      const Block* t = f.block_at(e.target);
-      if (!t) continue;
-      auto it = in_.find(t);
-      if (it == in_.end()) {
-        in_[t] = s;
-        reached_[t] = true;
-        work.push_back(t);
+      const std::ptrdiff_t t = num_.index_at(e.target);
+      if (t < 0) continue;
+      if (!reached[t]) {
+        in[t] = s;
+        reached[t] = true;
       } else {
-        HeightState m = merge(it->second, s);
-        if (!(m == it->second)) {
-          it->second = m;
-          work.push_back(t);
-        }
+        const HeightState m = merge(in[t], s);
+        if (m == in[t]) continue;
+        in[t] = m;
       }
+      work.push_back(static_cast<std::size_t>(t));
     }
   }
 
-  // Discover the frame allocation and the ra/fp save slots from the first
-  // reachable occurrences at known heights. Functions with fast leaf paths
-  // (recursion base cases) allocate/save outside the entry block, so every
-  // reachable block is scanned. The fp spill only identifies the *caller's*
-  // fp while x8 provably still holds its entry value.
-  for (const auto& [addr, blk] : f.blocks()) {
-    const parse::Block* b = blk.get();
-    auto it = in_.find(b);
-    if (it == in_.end()) continue;
-    HeightState s = it->second;
-    for (std::size_t i = 0; i < b->insns().size(); ++i) {
-      const parse::ParsedInsn& pi = b->insns()[i];
-      const isa::Instruction& insn = pi.insn;
+  // Store every reached point's state. Then discover the frame allocation
+  // and the ra/fp save slots from the first reachable occurrences at known
+  // heights. Functions with fast leaf paths (recursion base cases)
+  // allocate/save outside the entry block, so every reachable block is
+  // scanned. The fp spill only identifies the *caller's* fp while x8
+  // provably still holds its entry value.
+  std::size_t ra_index = 0, fp_index = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!reached[i]) continue;
+    const auto& insns = num_.block(i)->insns();
+    HeightState s = in[i];
+    for (std::size_t k = 0; k < insns.size(); ++k) {
+      points_[num_.first(i) + k].state = s;
+      const isa::Instruction& insn = insns[k].insn;
       if (!frame_size_ && s.sp == StackHeight(0) &&
           insn.mnemonic() == isa::Mnemonic::addi &&
           insn.num_operands() == 3 && insn.operand(0).reg == isa::sp &&
@@ -142,58 +167,92 @@ StackHeightAnalysis::StackHeightAnalysis(const parse::Function& f)
         frame_size_ = -insn.operand(2).imm;
       if (insn.mnemonic() == isa::Mnemonic::sd && insn.num_operands() == 2 &&
           insn.operand(1).reg == isa::sp && s.sp.has_value()) {
-        if (!save_block_ && insn.operand(0).reg == isa::ra) {
+        if (ra_block_ < 0 && insn.operand(0).reg == isa::ra) {
           ra_slot_ = *s.sp + insn.operand(1).imm;  // relative to entry sp
-          save_block_ = b;
-          save_index_ = i;
+          ra_block_ = static_cast<std::ptrdiff_t>(i);
+          ra_index = k;
         }
-        if (!fp_save_block_ && insn.operand(0).reg == isa::fp &&
+        if (fp_block_ < 0 && insn.operand(0).reg == isa::fp &&
             s.fp_original) {
           fp_slot_ = *s.sp + insn.operand(1).imm;
-          fp_save_block_ = b;
-          fp_save_index_ = i;
+          fp_block_ = static_cast<std::ptrdiff_t>(i);
+          fp_index = k;
         }
       }
       if (insn.regs_written().contains(isa::fp)) fp_clobbered_ = true;
-      s = apply(pi, s);
+      s = apply(insns[k], s);
     }
+    points_[num_.first(i + 1) - 1].state = s;
   }
-  if (save_block_ || fp_save_block_) idom_ = parse::immediate_dominators(f);
+  if (ra_block_ < 0 && fp_block_ < 0) return;
+
+  // A save has provably executed past it in its own block, and anywhere in
+  // the blocks its block dominates.
+  std::vector<std::ptrdiff_t> idom(n, -1);
+  for (const auto& [b, d] : parse::immediate_dominators(f))
+    idom[num_.index_at(b)] = num_.index_at(d);
+  const auto mark = [&](std::ptrdiff_t save, std::size_t save_index,
+                        bool HeightPoint::*bit) {
+    if (save < 0) return;
+    const std::vector<std::int8_t> dom = dominated_by(save, idom);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (dom[i] != 1) continue;
+      std::size_t p = num_.first(i);
+      if (static_cast<std::ptrdiff_t>(i) == save) p += save_index + 1;
+      for (; p < num_.first(i + 1); ++p) points_[p].*bit = true;
+    }
+  };
+  mark(ra_block_, ra_index, &HeightPoint::ra_saved);
+  mark(fp_block_, fp_index, &HeightPoint::fp_saved);
 }
 
-bool StackHeightAnalysis::ra_saved_at(const parse::Block* block,
-                                      std::size_t index) const {
-  if (!save_block_) return false;
-  if (block == save_block_) return index > save_index_;
-  return parse::dominates(idom_, save_block_->start(), block->start());
-}
-
-bool StackHeightAnalysis::fp_saved_at(const parse::Block* block,
-                                      std::size_t index) const {
-  if (!fp_save_block_) return false;
-  if (block == fp_save_block_) return index > fp_save_index_;
-  return parse::dominates(idom_, fp_save_block_->start(), block->start());
-}
-
-HeightState StackHeightAnalysis::state_before(const parse::Block* block,
+const HeightPoint* StackHeightAnalysis::point(const Block* block,
                                               std::size_t index) const {
-  auto it = in_.find(block);
-  if (it == in_.end()) return HeightState{};
-  HeightState s = it->second;
-  const auto& insns = block->insns();
-  for (std::size_t i = 0; i < index && i < insns.size(); ++i)
-    s = apply(insns[i], s);
-  return s;
+  const std::ptrdiff_t i = num_.index_of(block);
+  if (i < 0) return nullptr;
+  const std::size_t lo = num_.first(i), last = num_.first(i + 1) - 1;
+  return &points_[lo + std::min(index, last - lo)];
+}
+
+const HeightPoint* StackHeightAnalysis::point_at(std::uint64_t pc) const {
+  const std::ptrdiff_t p = num_.point_containing(pc);
+  return p < 0 ? nullptr : &points_[p];
+}
+
+bool StackHeightAnalysis::saved_by_start(const Block* block,
+                                         std::ptrdiff_t save_block,
+                                         bool HeightPoint::*bit) const {
+  if (save_block < 0) return false;
+  const std::ptrdiff_t j = num_.index_at(block->start());
+  return j >= 0 && (j == save_block || points_[num_.first(j)].*bit);
+}
+
+bool StackHeightAnalysis::ra_saved_at(const Block* block,
+                                      std::size_t index) const {
+  const HeightPoint* p = point(block, index);
+  return p ? p->ra_saved
+           : saved_by_start(block, ra_block_, &HeightPoint::ra_saved);
+}
+
+bool StackHeightAnalysis::fp_saved_at(const Block* block,
+                                      std::size_t index) const {
+  const HeightPoint* p = point(block, index);
+  return p ? p->fp_saved
+           : saved_by_start(block, fp_block_, &HeightPoint::fp_saved);
+}
+
+HeightState StackHeightAnalysis::state_before(const Block* block,
+                                              std::size_t index) const {
+  const HeightPoint* p = point(block, index);
+  return p ? p->state : HeightState{};
 }
 
 StackHeight StackHeightAnalysis::height_in(const Block* block) const {
-  auto it = in_.find(block);
-  return it == in_.end() ? std::nullopt : it->second.sp;
+  return state_before(block, 0).sp;
 }
 
 StackHeight StackHeightAnalysis::height_out(const Block* block) const {
-  auto it = out_.find(block);
-  return it == out_.end() ? std::nullopt : it->second.sp;
+  return state_before(block, block->insns().size()).sp;
 }
 
 StackHeight StackHeightAnalysis::height_before(const Block* block,
@@ -201,7 +260,7 @@ StackHeight StackHeightAnalysis::height_before(const Block* block,
   return state_before(block, index).sp;
 }
 
-StackHeight StackHeightAnalysis::fp_height_before(const parse::Block* block,
+StackHeight StackHeightAnalysis::fp_height_before(const Block* block,
                                                   std::size_t index) const {
   return state_before(block, index).fp;
 }

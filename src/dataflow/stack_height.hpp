@@ -11,12 +11,19 @@
 // instead of demoting it, and the slot where the *caller's* fp is spilled
 // (`sd s0, off(sp)` before x8 is first written) is discovered so the
 // walker can recover it.
+//
+// Like Liveness, the solver runs over the address-order block numbering,
+// and once it converges every program point's facts — the lattice state
+// and whether the ra / fp spills have provably executed (a per-block bit
+// from one dominator pass) — are stored, so every query is a lookup. A
+// stack walker resolves a pc to its point once per frame (point_at).
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
+#include <vector>
 
+#include "dataflow/block_numbering.hpp"
 #include "parse/cfg.hpp"
 
 namespace rvdyn::dataflow {
@@ -36,9 +43,25 @@ struct HeightState {
   bool operator==(const HeightState&) const = default;
 };
 
+/// Everything known at one program point.
+struct HeightPoint {
+  HeightState state;
+  bool ra_saved = false;  ///< the `sd ra` save has provably executed
+  bool fp_saved = false;  ///< the caller-fp spill has provably executed
+};
+
 class StackHeightAnalysis {
  public:
   explicit StackHeightAnalysis(const parse::Function& f);
+
+  /// The point before the instruction containing `pc` (the last
+  /// instruction boundary at or below `pc` in the block containing it), or
+  /// nullptr when no block of the function contains `pc`. The pointer
+  /// lives as long as the analysis. A pc between boundaries (an async stop
+  /// inside a patched region, a misaligned probe) maps to the instruction
+  /// containing it: falling back to the block start would rewind the
+  /// height across an sp adjustment earlier in the block.
+  const HeightPoint* point_at(std::uint64_t pc) const;
 
   /// Height on entry to `block` (0 at the function entry block).
   StackHeight height_in(const parse::Block* block) const;
@@ -101,19 +124,23 @@ class StackHeightAnalysis {
   static HeightState apply(const parse::ParsedInsn& pi, HeightState s);
   static HeightState merge(const HeightState& a, const HeightState& b);
 
-  const parse::Function& func_;
-  std::map<const parse::Block*, HeightState> in_;
-  std::map<const parse::Block*, HeightState> out_;
-  std::map<const parse::Block*, bool> reached_;
+  /// The stored point for (`block`, `index`), the index clamped to the
+  /// block's end; nullptr when `block` is not one of the function's.
+  const HeightPoint* point(const parse::Block* block, std::size_t index) const;
+  /// A saved-bit query on a block of another function answers for the
+  /// function's own block with the same start, as a dominance test by
+  /// address would: the save's block itself, or the block's stored bit.
+  bool saved_by_start(const parse::Block* block, std::ptrdiff_t save_block,
+                      bool HeightPoint::*bit) const;
+
+  BlockNumbering num_;
+  std::vector<HeightPoint> points_;  ///< one per point of num_
   std::optional<std::int64_t> ra_slot_;
   std::optional<std::int64_t> fp_slot_;
   std::optional<std::int64_t> frame_size_;
-  const parse::Block* save_block_ = nullptr;
-  std::size_t save_index_ = 0;
-  const parse::Block* fp_save_block_ = nullptr;
-  std::size_t fp_save_index_ = 0;
+  std::ptrdiff_t ra_block_ = -1;  ///< block index of the `sd ra` save
+  std::ptrdiff_t fp_block_ = -1;  ///< block index of the caller-fp spill
   bool fp_clobbered_ = false;
-  std::map<std::uint64_t, std::uint64_t> idom_;
 };
 
 }  // namespace rvdyn::dataflow

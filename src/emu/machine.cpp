@@ -444,6 +444,14 @@ StopReason Machine::step() {
   return stop_;
 }
 
+StopReason Machine::step_bytes(const std::uint8_t* bytes, std::size_t n) {
+  if (flush_pending_) flush_code_caches();
+  Instruction insn;
+  const unsigned len = decoder_.decode(bytes, n, &insn);
+  stop_ = len == 0 ? StopReason::IllegalInsn : exec_insn(insn, len);
+  return stop_;
+}
+
 std::vector<Machine::BlockTraceEntry> Machine::recent_blocks() const {
   std::vector<BlockTraceEntry> out;
   const std::uint64_t n = std::min<std::uint64_t>(block_trace_count_,

@@ -80,6 +80,13 @@ class Machine {
   /// stepping on top, per paper §3.2.6).
   StopReason step();
 
+  /// step(), but executing the instruction encoded in `bytes` (n of them)
+  /// in place of the one in memory at pc: no code is fetched or written,
+  /// so no cached decode or compiled block is evicted. A debugger steps
+  /// over a planted breakpoint this way, with the saved original bytes,
+  /// and leaves the trap in place.
+  StopReason step_bytes(const std::uint8_t* bytes, std::size_t n);
+
   // --- register and memory access (the debugger surface) ---
   std::uint64_t pc() const { return st_.pc; }
   void set_pc(std::uint64_t pc) { st_.pc = pc; }

@@ -146,6 +146,29 @@ class Memory {
     return true;
   }
 
+  /// Little-endian load of `size` (1/2/4/8) bytes that never maps a page:
+  /// 0 when any byte of the range is unmapped. The read for tools that
+  /// must leave the process untouched, such as a stack walker probing a
+  /// garbage frame pointer. A range inside one page costs one page lookup
+  /// and one copy.
+  std::uint64_t peek(std::uint64_t addr, unsigned size) const {
+    std::uint64_t v = 0;
+    if (size > 8) return 0;
+    const std::uint64_t off = addr & (kPageSize - 1);
+    if (off + size <= kPageSize) {
+      const auto it = pages_.find(addr >> kPageBits);
+      if (it == pages_.end()) return 0;
+      const std::uint8_t* p = it->second->bytes.data() + off;
+      if (size == 8) std::memcpy(&v, p, 8);
+      else std::memcpy(&v, p, size);
+      return v;
+    }
+    std::uint8_t buf[8];
+    if (!try_read_bytes(addr, buf, size)) return 0;
+    std::memcpy(&v, buf, size);
+    return v;
+  }
+
   // --- snapshot / dirty-page reset -----------------------------------------
 
   /// Deep-copy every mapped non-exempt page and arm dirty tracking. A

@@ -84,15 +84,14 @@ StopReason Process::step_over_breakpoint() {
   const std::uint64_t at = machine_->pc();
   auto it = breakpoints_.find(at);
   if (it == breakpoints_.end()) return StopReason::Running;
-  // Classic ptrace dance: restore, native-step, re-insert. The stepped
-  // instruction may itself terminate the process (an exiting ecall) or
-  // fault; that outcome must surface, not be swallowed.
-  const SavedBytes saved = it->second;
-  machine_->write_code(at, saved.bytes.data(), saved.bytes.size());
-  breakpoints_.erase(at);
-  const StopReason r = machine_->step();
-  insert_breakpoint(at);
-  return r == StopReason::Running ? StopReason::Running : r;
+  // Execute the saved original instruction in place of the trap, the way
+  // displaced-stepping debuggers do, instead of ptrace's restore / step /
+  // re-insert dance: same architectural effect, but no code write, so no
+  // decoded or compiled code covering the breakpoint is evicted. The
+  // stepped instruction may itself terminate the process (an exiting
+  // ecall) or fault; that outcome must surface, not be swallowed.
+  return machine_->step_bytes(it->second.bytes.data(),
+                              it->second.bytes.size());
 }
 
 Event Process::continue_run(std::uint64_t max_steps) {

@@ -5,7 +5,11 @@
 // debuggers do), memory/register access, and single-stepping. Because
 // RISC-V ptrace lacks PTRACE_SINGLESTEP, the paper's port emulates stepping
 // with breakpoints; both that emulation and the native step are provided so
-// their costs can be compared (bench A5).
+// their costs can be compared (bench A5). Resuming from a breakpoint
+// executes the saved original instruction in the trap's place (displaced
+// stepping) rather than restoring, stepping and re-planting it, so a
+// continue writes no code; inserting and removing breakpoints, including
+// step_emulated's temporary successor traps, still do.
 //
 // Dynamic instrumentation: ProcessSpace implements patch::AddressSpace
 // over the live (emulated) process, so BinaryEditor::commit_to() installs
@@ -168,7 +172,8 @@ class Process {
   std::vector<std::uint64_t> successors_of(std::uint64_t addr);
   /// Map a machine stop to an Event, applying trap-table redirects.
   std::optional<Event> translate_stop(emu::StopReason r);
-  /// Step across a breakpoint at the current pc; returns the machine's
+  /// Step across a breakpoint at the current pc by executing its saved
+  /// original instruction (the trap stays planted); returns the machine's
   /// stop reason when the stepped instruction itself terminated/faulted.
   emu::StopReason step_over_breakpoint();
 

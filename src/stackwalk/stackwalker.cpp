@@ -1,5 +1,7 @@
 #include "stackwalk/stackwalker.hpp"
 
+#include <algorithm>
+
 #include "dataflow/stack_height.hpp"
 #include "emu/machine.hpp"
 #include "proccontrol/process.hpp"
@@ -8,9 +10,6 @@ namespace rvdyn::stackwalk {
 
 namespace {
 
-using parse::Block;
-using parse::Function;
-
 /// ThreadAccess over a debugger-controlled process.
 class ProcessAccess : public ThreadAccess {
  public:
@@ -18,55 +17,27 @@ class ProcessAccess : public ThreadAccess {
   std::uint64_t pc() const override { return p_.pc(); }
   std::uint64_t get_reg(isa::Reg r) const override { return p_.get_reg(r); }
   std::uint64_t read_mem(std::uint64_t addr, unsigned size) const override {
-    return p_.read_mem(addr, size);
+    return p_.machine().memory().peek(addr, size);
   }
 
  private:
   proccontrol::Process& p_;
 };
 
-/// Function containing `pc`, plus the block and instruction index.
-struct Location {
-  const Function* func = nullptr;
-  const Block* block = nullptr;
-  std::size_t index = 0;
-};
-
-std::optional<Location> locate(const parse::CodeObject& co,
-                               std::uint64_t pc) {
-  const Function* f = co.function_containing(pc);
-  if (!f) return std::nullopt;
-  const Block* b = f->block_containing(pc);
-  if (!b) return std::nullopt;
-  // Snap to the last instruction boundary ≤ pc. A pc between boundaries
-  // (async stop inside a patched region, misaligned probe) must map to the
-  // instruction containing it — falling back to block start would rewind
-  // the stack height across any sp adjustment earlier in the block and
-  // read the wrong ra slot.
-  std::size_t idx = 0;
-  for (std::size_t i = 0; i < b->insns().size(); ++i) {
-    if (b->insns()[i].addr == pc) return Location{f, b, i};
-    if (b->insns()[i].addr < pc) idx = i;
-  }
-  return Location{f, b, idx};
-}
-
 bool plausible_code_addr(const parse::CodeObject& co, std::uint64_t pc) {
   return pc != 0 && co.symtab().in_code(pc);
 }
 
-/// The caller's frame-pointer value at the point described by `loc`:
-/// still in x8 when the function has not touched it, else loaded from the
-/// prologue's save slot, else unknown (0). Returning the callee's register
-/// value when the callee repurposed x8 would hand FramePointerStepper a
-/// stale chain and let it fabricate frames.
-std::uint64_t recover_caller_fp(ThreadAccess& thread,
-                                const dataflow::StackHeightAnalysis& sh,
-                                const Location& loc, const Frame& frame,
-                                std::uint64_t entry_sp) {
-  if (sh.fp_preserved_at(loc.block, loc.index)) return frame.fp;
-  const auto slot = sh.fp_save_slot();
-  if (slot && sh.fp_saved_at(loc.block, loc.index))
+/// The caller's frame-pointer value at `loc`'s point: still in x8 when the
+/// function has not touched it, else loaded from the prologue's save slot,
+/// else unknown (0). Returning the callee's register value when the callee
+/// repurposed x8 would hand FramePointerStepper a stale chain and let it
+/// fabricate frames.
+std::uint64_t recover_caller_fp(ThreadAccess& thread, const Location& loc,
+                                const Frame& frame, std::uint64_t entry_sp) {
+  if (loc.point->state.fp_original) return frame.fp;
+  const auto slot = loc.analysis->fp_save_slot();
+  if (slot && loc.point->fp_saved)
     return thread.read_mem(entry_sp + static_cast<std::uint64_t>(*slot), 8);
   return 0;
 }
@@ -81,14 +52,10 @@ std::uint64_t MachineAccess::get_reg(isa::Reg r) const {
 
 std::uint64_t MachineAccess::read_mem(std::uint64_t addr,
                                       unsigned size) const {
-  // try_read_bytes, not read(): the zero-fill-on-touch path would map
-  // pages as a side effect of the walker probing a garbage pointer, and a
-  // sampler must leave the sampled machine bit-identical.
-  std::uint8_t buf[8] = {};
-  if (size > 8 || !m_.memory().try_read_bytes(addr, buf, size)) return 0;
-  std::uint64_t v = 0;
-  for (unsigned i = 0; i < size; ++i) v |= std::uint64_t{buf[i]} << (8 * i);
-  return v;
+  // peek, not read(): the zero-fill-on-touch path would map pages as a
+  // side effect of the walker probing a garbage pointer, and a sampler
+  // must leave the sampled machine bit-identical.
+  return m_.memory().peek(addr, size);
 }
 
 WalkContext::WalkContext(ThreadAccess& thread, const parse::CodeObject& co)
@@ -103,7 +70,23 @@ const dataflow::StackHeightAnalysis& WalkContext::analysis(
   return *slot;
 }
 
-void WalkContext::invalidate_analyses() { analyses_.clear(); }
+void WalkContext::invalidate_analyses() {
+  analyses_.clear();
+  located_ = false;
+}
+
+Location WalkContext::locate(std::uint64_t pc) {
+  if (located_ && last_pc_ == pc) return last_;
+  last_ = Location{};
+  if (const parse::Function* f = co_.function_containing(pc)) {
+    last_.func = f;
+    last_.analysis = &analysis(*f);
+    last_.point = last_.analysis->point_at(pc);
+  }
+  located_ = true;
+  last_pc_ = pc;
+  return last_;
+}
 
 std::optional<Frame> FramePointerStepper::step(WalkContext& ctx,
                                                const Frame& frame) {
@@ -123,24 +106,21 @@ std::optional<Frame> FramePointerStepper::step(WalkContext& ctx,
 
 std::optional<Frame> SpHeightStepper::step(WalkContext& ctx,
                                            const Frame& frame) {
-  const auto loc = locate(ctx.co(), frame.pc);
-  if (!loc) return std::nullopt;
-  const dataflow::StackHeightAnalysis& sh = ctx.analysis(*loc->func);
-  const auto height = sh.height_before(loc->block, loc->index);
-  if (!height) return std::nullopt;
-  const auto slot = sh.ra_save_slot();
+  const Location loc = ctx.locate(frame.pc);
+  if (!loc.point || !loc.point->state.sp) return std::nullopt;
+  const auto slot = loc.analysis->ra_save_slot();
   // Only step through the save slot when the save provably executed; on a
   // leaf path (or mid-prologue) the LeafStepper's ra register is the truth.
-  if (!slot || !sh.ra_saved_at(loc->block, loc->index)) return std::nullopt;
+  if (!slot || !loc.point->ra_saved) return std::nullopt;
   const std::uint64_t entry_sp =
-      frame.sp - static_cast<std::uint64_t>(*height);
+      frame.sp - static_cast<std::uint64_t>(*loc.point->state.sp);
   const std::uint64_t ra =
       ctx.thread().read_mem(entry_sp + static_cast<std::uint64_t>(*slot), 8);
   if (!plausible_code_addr(ctx.co(), ra)) return std::nullopt;
   Frame out;
   out.pc = ra;
   out.sp = entry_sp;
-  out.fp = recover_caller_fp(ctx.thread(), sh, *loc, frame, entry_sp);
+  out.fp = recover_caller_fp(ctx.thread(), loc, frame, entry_sp);
   return out;
 }
 
@@ -154,12 +134,10 @@ std::optional<Frame> LeafStepper::step(WalkContext& ctx, const Frame& frame) {
   // A stop mid-prologue (after `addi sp, sp, -N`, before `sd ra`) has
   // already moved sp: undo the known height so the caller frame carries the
   // caller's sp, and recover the caller's fp if the prologue spilled it.
-  if (const auto loc = locate(ctx.co(), frame.pc)) {
-    const dataflow::StackHeightAnalysis& sh = ctx.analysis(*loc->func);
-    if (const auto h = sh.height_before(loc->block, loc->index)) {
-      out.sp = frame.sp - static_cast<std::uint64_t>(*h);
-      out.fp = recover_caller_fp(ctx.thread(), sh, *loc, frame, out.sp);
-    }
+  const Location loc = ctx.locate(frame.pc);
+  if (loc.point && loc.point->state.sp) {
+    out.sp = frame.sp - static_cast<std::uint64_t>(*loc.point->state.sp);
+    out.fp = recover_caller_fp(ctx.thread(), loc, frame, out.sp);
   }
   return out;
 }
@@ -188,8 +166,8 @@ void StackWalker::add_stepper(std::unique_ptr<FrameStepper> stepper) {
   steppers_.insert(steppers_.begin(), std::move(stepper));
 }
 
-void StackWalker::annotate(Frame* f) const {
-  if (const parse::Function* func = ctx_.co().function_containing(f->pc)) {
+void StackWalker::annotate(Frame* f) {
+  if (const parse::Function* func = ctx_.locate(f->pc).func) {
     f->func_name = func->name();
     f->func_entry = func->entry();
   }
@@ -197,6 +175,7 @@ void StackWalker::annotate(Frame* f) const {
 
 std::vector<Frame> StackWalker::walk(unsigned max_depth) {
   std::vector<Frame> out;
+  out.reserve(std::min(max_depth, 64u));
   Frame cur;
   ThreadAccess& thread = ctx_.thread();
   cur.pc = thread.pc();
@@ -215,7 +194,7 @@ std::vector<Frame> StackWalker::walk(unsigned max_depth) {
     if (entry_func && cur.func_entry == entry_func->entry() &&
         !cur.func_name.empty()) {
       cur.stepper = "";
-      out.push_back(cur);
+      out.push_back(std::move(cur));
       break;
     }
     std::optional<Frame> caller;
@@ -228,11 +207,13 @@ std::vector<Frame> StackWalker::walk(unsigned max_depth) {
       }
     }
     cur.stepper = used;
-    out.push_back(cur);
-    if (!caller) break;
-    // Avoid trivial self-loops (corrupt chains).
-    if (caller->pc == cur.pc && caller->sp == cur.sp) break;
-    cur = *caller;
+    // Stop when no stepper applies, and on trivial self-loops (corrupt
+    // chains).
+    const bool last =
+        !caller || (caller->pc == cur.pc && caller->sp == cur.sp);
+    out.push_back(std::move(cur));
+    if (last) break;
+    cur = std::move(*caller);
     cur.ra = 0;  // only the top frame's ra register is meaningful
     annotate(&cur);
   }

@@ -18,6 +18,12 @@
 // future remote/core-file backend. Walks share a per-function
 // StackHeightAnalysis cache through WalkContext: a sampling profiler
 // taking thousands of walks pays for each function's dataflow once.
+//
+// Each frame's pc is located once: WalkContext::locate resolves it to its
+// function, that function's analysis and the analysis's stored point, and
+// keeps the answer, so naming the frame and every stepper asking about it
+// share one lookup. A step reads the point's facts directly; no frame
+// re-walks a block.
 #pragma once
 
 #include <cstdint>
@@ -31,6 +37,7 @@
 
 namespace rvdyn::dataflow {
 class StackHeightAnalysis;
+struct HeightPoint;
 }
 namespace rvdyn::emu {
 class Machine;
@@ -45,6 +52,7 @@ namespace rvdyn::stackwalk {
 /// (non-faulting) memory reads. Unmapped reads must return 0 without
 /// side effects — a walker probing a garbage frame pointer must never
 /// perturb the walked process (e.g. by faulting pages into existence).
+/// Both implementations here read through emu::Memory::peek.
 class ThreadAccess {
  public:
   virtual ~ThreadAccess() = default;
@@ -77,6 +85,15 @@ struct Frame {
   const char* stepper = "";   ///< which plugin produced the *next* frame
 };
 
+/// A pc resolved against the parsed code.
+struct Location {
+  const parse::Function* func = nullptr;  ///< function containing the pc
+  const dataflow::StackHeightAnalysis* analysis = nullptr;  ///< func's
+  /// The analysis's point for the instruction containing the pc; nullptr
+  /// when no block of func contains it.
+  const dataflow::HeightPoint* point = nullptr;
+};
+
 /// Shared state for one walk (or a long series of walks): the thread view,
 /// the parsed code, and a memoized per-function stack-height analysis.
 class WalkContext {
@@ -93,12 +110,22 @@ class WalkContext {
   const dataflow::StackHeightAnalysis& analysis(const parse::Function& f);
   void invalidate_analyses();
 
+  /// `pc` resolved to {function, analysis, point}; all null outside every
+  /// function. The last answer is kept until a different pc is asked for
+  /// or invalidate_analyses() drops it, so naming a frame and stepping
+  /// out of it resolve the frame's pc once. The pointers stay valid until
+  /// invalidate_analyses().
+  Location locate(std::uint64_t pc);
+
  private:
   ThreadAccess& thread_;
   const parse::CodeObject& co_;
   std::unordered_map<const parse::Function*,
                      std::unique_ptr<dataflow::StackHeightAnalysis>>
       analyses_;
+  bool located_ = false;  ///< last_ holds the answer for last_pc_
+  std::uint64_t last_pc_ = 0;
+  Location last_;
 };
 
 /// Plugin interface: given the current frame, produce the caller's frame.
@@ -154,7 +181,7 @@ class StackWalker {
   void invalidate_analyses() { ctx_.invalidate_analyses(); }
 
  private:
-  void annotate(Frame* f) const;
+  void annotate(Frame* f);
 
   std::unique_ptr<ThreadAccess> owned_;  ///< set by the Process convenience
   WalkContext ctx_;

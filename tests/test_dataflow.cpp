@@ -15,12 +15,14 @@
 #include "dataflow/summaries.hpp"
 #include "parse/callgraph.hpp"
 #include "parse/cfg.hpp"
+#include "parse/loops.hpp"
 #include "workloads/workloads.hpp"
 
 namespace {
 
 using namespace rvdyn;
 using dataflow::FuncSummary;
+using dataflow::HeightState;
 using dataflow::Liveness;
 using dataflow::Slicer;
 using dataflow::Summaries;
@@ -424,11 +426,9 @@ void expect_same_liveness(const Function& f, const Liveness& live,
         << ctx << " foreign block, index " << i;
 }
 
-// The index-based solvers agree with the reference at every instruction of
-// every workload program, under both return boundaries, with and without
-// interprocedural summaries; and every function summary agrees too.
-TEST(LivenessOracle, MatchesReferenceOnEveryWorkload) {
-  const std::vector<std::pair<std::string, std::string>> programs = {
+// The workload programs the dataflow oracles compare on.
+std::vector<std::pair<std::string, std::string>> oracle_programs() {
+  return {
       {"matmul", workloads::matmul_program(8, 1)},
       {"call_churn", workloads::call_churn_program(10)},
       {"fib", workloads::fib_program(6)},
@@ -439,7 +439,13 @@ TEST(LivenessOracle, MatchesReferenceOnEveryWorkload) {
       {"sort", workloads::sort_program(10)},
       {"fuzz_target", workloads::fuzz_target_program("RV!")},
   };
-  for (const auto& [name, src] : programs) {
+}
+
+// The index-based solvers agree with the reference at every instruction of
+// every workload program, under both return boundaries, with and without
+// interprocedural summaries; and every function summary agrees too.
+TEST(LivenessOracle, MatchesReferenceOnEveryWorkload) {
+  for (const auto& [name, src] : oracle_programs()) {
     auto p = parse_src(src);
     const Summaries sums(*p.co);
     const auto ref_sums = ref_summaries(*p.co);
@@ -474,6 +480,343 @@ TEST(LivenessOracle, MatchesReferenceOnEveryWorkload) {
 }
 
 // ---- stack height ----
+
+// Reference stack-height solver, written the straightforward way: a
+// map-keyed worklist, every query re-applies the block's prefix, and the
+// ra/fp-saved tests walk the dominator chain. `ra_saved_once_reached` is
+// the oracle's seeded bug: it treats the ra save as executed anywhere in a
+// reached block once the function has one.
+
+struct RefAdjust {
+  isa::Reg src;
+  std::int64_t imm;
+};
+std::optional<RefAdjust> ref_adjust_src(const isa::Instruction& insn) {
+  if (insn.mnemonic() == isa::Mnemonic::addi && insn.num_operands() == 3)
+    return RefAdjust{insn.operand(1).reg, insn.operand(2).imm};
+  if (insn.mnemonic() == isa::Mnemonic::add && insn.num_operands() == 3) {
+    if (insn.operand(2).reg == isa::zero)
+      return RefAdjust{insn.operand(1).reg, 0};
+    if (insn.operand(1).reg == isa::zero)
+      return RefAdjust{insn.operand(2).reg, 0};
+  }
+  return std::nullopt;
+}
+
+HeightState ref_apply(const isa::Instruction& insn, HeightState s) {
+  const bool writes_sp = insn.regs_written().contains(isa::sp);
+  const bool writes_fp = insn.regs_written().contains(isa::fp);
+  if (!writes_sp && !writes_fp) return s;
+  const auto adj = ref_adjust_src(insn);
+  if (writes_sp) {
+    if (adj && adj->src == isa::sp && s.sp)
+      s.sp = *s.sp + adj->imm;
+    else if (adj && adj->src == isa::fp && s.fp)
+      s.sp = *s.fp + adj->imm;
+    else
+      s.sp = std::nullopt;
+  }
+  if (writes_fp) {
+    s.fp_original = false;
+    if (adj && adj->src == isa::sp && s.sp)
+      s.fp = *s.sp + adj->imm;
+    else if (adj && adj->src == isa::fp && s.fp)
+      s.fp = *s.fp + adj->imm;
+    else
+      s.fp = std::nullopt;
+  }
+  return s;
+}
+
+HeightState ref_merge(const HeightState& a, const HeightState& b) {
+  HeightState m;
+  m.sp = (a.sp && b.sp && *a.sp == *b.sp) ? a.sp : std::nullopt;
+  m.fp = (a.fp && b.fp && *a.fp == *b.fp) ? a.fp : std::nullopt;
+  m.fp_original = a.fp_original && b.fp_original;
+  return m;
+}
+
+class RefStackHeight {
+ public:
+  explicit RefStackHeight(const Function& f, bool ra_saved_once_reached = false)
+      : func_(f), sabotage_(ra_saved_once_reached) {
+    const Block* entry = f.entry_block();
+    if (!entry) return;
+    std::deque<const Block*> work{entry};
+    in_[entry] = HeightState{0, std::nullopt, true};
+    while (!work.empty()) {
+      const Block* b = work.front();
+      work.pop_front();
+      HeightState s = in_.at(b);
+      for (const auto& pi : b->insns()) s = ref_apply(pi.insn, s);
+      out_[b] = s;
+      for (const parse::Edge& e : b->succs()) {
+        if (!ref_intraproc(e.type)) continue;
+        const Block* t = f.block_at(e.target);
+        if (!t) continue;
+        auto it = in_.find(t);
+        if (it == in_.end()) {
+          in_[t] = s;
+          work.push_back(t);
+        } else {
+          const HeightState m = ref_merge(it->second, s);
+          if (!(m == it->second)) {
+            it->second = m;
+            work.push_back(t);
+          }
+        }
+      }
+    }
+    for (const auto& [addr, blk] : f.blocks()) {
+      const Block* b = blk.get();
+      auto it = in_.find(b);
+      if (it == in_.end()) continue;
+      HeightState s = it->second;
+      for (std::size_t i = 0; i < b->insns().size(); ++i) {
+        const isa::Instruction& insn = b->insns()[i].insn;
+        if (!frame_size_ && s.sp == dataflow::StackHeight(0) &&
+            insn.mnemonic() == isa::Mnemonic::addi &&
+            insn.num_operands() == 3 && insn.operand(0).reg == isa::sp &&
+            insn.operand(1).reg == isa::sp && insn.operand(2).imm < 0)
+          frame_size_ = -insn.operand(2).imm;
+        if (insn.mnemonic() == isa::Mnemonic::sd &&
+            insn.num_operands() == 2 && insn.operand(1).reg == isa::sp &&
+            s.sp.has_value()) {
+          if (!ra_block_ && insn.operand(0).reg == isa::ra) {
+            ra_slot_ = *s.sp + insn.operand(1).imm;
+            ra_block_ = b;
+            ra_index_ = i;
+          }
+          if (!fp_block_ && insn.operand(0).reg == isa::fp && s.fp_original) {
+            fp_slot_ = *s.sp + insn.operand(1).imm;
+            fp_block_ = b;
+            fp_index_ = i;
+          }
+        }
+        if (insn.regs_written().contains(isa::fp)) fp_clobbered_ = true;
+        s = ref_apply(insn, s);
+      }
+    }
+    if (ra_block_ || fp_block_) idom_ = parse::immediate_dominators(f);
+  }
+
+  HeightState state_before(const Block* b, std::size_t index) const {
+    auto it = in_.find(b);
+    if (it == in_.end()) return HeightState{};
+    HeightState s = it->second;
+    for (std::size_t i = 0; i < index && i < b->insns().size(); ++i)
+      s = ref_apply(b->insns()[i].insn, s);
+    return s;
+  }
+  dataflow::StackHeight height_in(const Block* b) const {
+    auto it = in_.find(b);
+    return it == in_.end() ? std::nullopt : it->second.sp;
+  }
+  dataflow::StackHeight height_out(const Block* b) const {
+    auto it = out_.find(b);
+    return it == out_.end() ? std::nullopt : it->second.sp;
+  }
+  bool ra_saved_at(const Block* b, std::size_t index) const {
+    if (sabotage_) return ra_block_ && in_.count(b);
+    return saved_at(ra_block_, ra_index_, b, index);
+  }
+  bool fp_saved_at(const Block* b, std::size_t index) const {
+    return saved_at(fp_block_, fp_index_, b, index);
+  }
+  std::optional<std::int64_t> frame_size() const { return frame_size_; }
+  std::optional<std::int64_t> ra_save_slot() const { return ra_slot_; }
+  std::optional<std::int64_t> fp_save_slot() const { return fp_slot_; }
+  bool fp_clobbered() const { return fp_clobbered_; }
+
+  // The facts at the last instruction boundary at or below `pc` in the
+  // block containing it, as the stack walker used to locate a frame.
+  std::optional<dataflow::HeightPoint> point_at(std::uint64_t pc) const {
+    const Block* b = func_.block_containing(pc);
+    if (!b) return std::nullopt;
+    std::size_t idx = 0;
+    for (std::size_t i = 0; i < b->insns().size(); ++i)
+      if (b->insns()[i].addr <= pc) idx = i;
+    return dataflow::HeightPoint{state_before(b, idx), ra_saved_at(b, idx),
+                                 fp_saved_at(b, idx)};
+  }
+
+ private:
+  bool saved_at(const Block* save, std::size_t save_index, const Block* b,
+                std::size_t index) const {
+    if (!save) return false;
+    if (b == save) return index > save_index;
+    return parse::dominates(idom_, save->start(), b->start());
+  }
+
+  const Function& func_;
+  bool sabotage_;
+  std::map<const Block*, HeightState> in_, out_;
+  std::optional<std::int64_t> ra_slot_, fp_slot_, frame_size_;
+  const Block* ra_block_ = nullptr;
+  const Block* fp_block_ = nullptr;
+  std::size_t ra_index_ = 0, fp_index_ = 0;
+  bool fp_clobbered_ = false;
+  std::map<std::uint64_t, std::uint64_t> idom_;
+};
+
+bool same_point(const dataflow::HeightPoint& a,
+                const dataflow::HeightPoint& b) {
+  return a.state == b.state && a.ra_saved == b.ra_saved &&
+         a.fp_saved == b.fp_saved;
+}
+
+// Every StackHeightAnalysis query against the reference: the function-wide
+// facts, every (block, index) query at indices 0..size+1 of every block and
+// of `foreign` (a block of another function, may be null), and the pc
+// lookup at every byte of every block. Returns the number of mismatches and
+// describes the first few in `log`; counts the comparisons in `compared`.
+std::size_t stack_height_mismatches(const Function& f,
+                                    const StackHeightAnalysis& sh,
+                                    const RefStackHeight& ref,
+                                    const Block* foreign, std::string& log,
+                                    std::size_t& compared) {
+  std::size_t bad = 0;
+  const auto check = [&](bool same, const std::string& what) {
+    ++compared;
+    if (same) return;
+    if (++bad <= 5) log += "\n  " + f.name() + ": " + what;
+  };
+  const auto hex = [](std::uint64_t v) {
+    char buf[24];
+    std::snprintf(buf, sizeof buf, "0x%llx",
+                  static_cast<unsigned long long>(v));
+    return std::string(buf);
+  };
+  check(sh.frame_size() == ref.frame_size(), "frame_size");
+  check(sh.ra_save_slot() == ref.ra_save_slot(), "ra_save_slot");
+  check(sh.fp_save_slot() == ref.fp_save_slot(), "fp_save_slot");
+  check(sh.fp_clobbered() == ref.fp_clobbered(), "fp_clobbered");
+
+  std::vector<const Block*> blocks;
+  for (const auto& [a, b] : f.blocks()) blocks.push_back(b.get());
+  if (foreign) blocks.push_back(foreign);
+  for (const Block* b : blocks) {
+    const std::string at = "block " + hex(b->start());
+    check(sh.height_in(b) == ref.height_in(b), at + " height_in");
+    check(sh.height_out(b) == ref.height_out(b), at + " height_out");
+    for (std::size_t i = 0; i <= b->insns().size() + 1; ++i) {
+      const std::string where = at + " index " + std::to_string(i);
+      const HeightState want = ref.state_before(b, i);
+      check(sh.state_before(b, i) == want, where + " state_before");
+      check(sh.height_before(b, i) == want.sp, where + " height_before");
+      check(sh.fp_height_before(b, i) == want.fp, where + " fp_height_before");
+      check(sh.fp_preserved_at(b, i) == want.fp_original,
+            where + " fp_preserved_at");
+      check(sh.ra_saved_at(b, i) == ref.ra_saved_at(b, i),
+            where + " ra_saved_at");
+      check(sh.fp_saved_at(b, i) == ref.fp_saved_at(b, i),
+            where + " fp_saved_at");
+    }
+  }
+  for (const auto& [a, b] : f.blocks()) {
+    for (std::uint64_t pc = b->start(); pc <= b->end(); ++pc) {
+      const dataflow::HeightPoint* got = sh.point_at(pc);
+      const auto want = ref.point_at(pc);
+      check(got ? want && same_point(*got, *want) : !want,
+            "point_at " + hex(pc));
+    }
+  }
+  return bad;
+}
+
+// Frame shapes the workload programs lack: an fp-relative epilogue over a
+// variable-size alloca, a caller-fp spill then clobber, a spill on one arm
+// of a branch only, and a loop back to the entry block.
+constexpr const char* kStackShapes = R"(
+    .globl _start
+    .globl alloca_fn
+    .globl clobber_fn
+    .globl onearm_fn
+    .globl loop_fn
+_start:
+    call alloca_fn
+    call clobber_fn
+    call onearm_fn
+    call loop_fn
+    li a7, 93
+    ecall
+alloca_fn:
+    addi sp, sp, -64
+    sd ra, 56(sp)
+    sd s0, 48(sp)
+    addi s0, sp, 64
+    sub sp, sp, a0
+    addi sp, s0, -64
+    ld ra, 56(sp)
+    ld s0, 48(sp)
+    addi sp, sp, 64
+    ret
+clobber_fn:
+    addi sp, sp, -32
+    sd s0, 24(sp)
+    li s0, 7
+    ld s0, 24(sp)
+    addi sp, sp, 32
+    ret
+onearm_fn:
+    addi sp, sp, -16
+    beqz a0, skip
+    sd ra, 8(sp)
+    sd s0, 0(sp)
+    call clobber_fn
+    ld ra, 8(sp)
+    ld s0, 0(sp)
+skip:
+    addi sp, sp, 16
+    ret
+loop_fn:
+    addi a0, a0, -1
+    bnez a0, loop_fn
+    ret
+)";
+
+// The flat analysis answers every query exactly as the reference solver
+// does, on every function of every workload program plus kStackShapes.
+TEST(StackHeightOracle, MatchesReferenceOnEveryWorkload) {
+  auto programs = oracle_programs();
+  programs.emplace_back("stack_shapes", kStackShapes);
+  std::size_t compared = 0, ra_saves = 0, fp_saves = 0;
+  for (const auto& [name, src] : programs) {
+    auto p = parse_src(src);
+    const Block* prev_entry = nullptr;
+    for (const auto& [entry, f] : p.co->functions()) {
+      const StackHeightAnalysis sh(*f);
+      const RefStackHeight ref(*f);
+      std::string log;
+      EXPECT_EQ(stack_height_mismatches(*f, sh, ref, prev_entry, log,
+                                        compared),
+                0u)
+          << name << log;
+      ra_saves += ref.ra_save_slot().has_value();
+      fp_saves += ref.fp_save_slot().has_value();
+      prev_entry = f->entry_block();
+    }
+  }
+  EXPECT_GT(compared, 10000u);
+  EXPECT_GT(ra_saves, 0u);
+  EXPECT_GT(fp_saves, 0u);
+}
+
+// Sabotage meta-test: the same comparison against a reference with a
+// seeded bug (ra saved anywhere once reached) must report mismatches.
+TEST(StackHeightOracle, SabotagedReferenceIsCaught) {
+  std::size_t compared = 0, bad = 0;
+  for (const auto& [name, src] : oracle_programs()) {
+    auto p = parse_src(src);
+    for (const auto& [entry, f] : p.co->functions()) {
+      std::string log;
+      bad += stack_height_mismatches(*f, StackHeightAnalysis(*f),
+                                     RefStackHeight(*f, true), nullptr, log,
+                                     compared);
+    }
+  }
+  EXPECT_GT(bad, 0u);
+}
 
 TEST(StackHeight, StandardPrologueEpilogue) {
   auto p = parse_src(R"(

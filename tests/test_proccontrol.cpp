@@ -202,4 +202,104 @@ spin:
             static_cast<int>(Event::Kind::LimitReached));
 }
 
+// Step-over semantics, pinned: continuing from a breakpoint executes the
+// original instruction once, whatever kind it is, and leaves the ebreak
+// planted without writing code. The expected register, instret and cycle
+// values are those of the restore / native-step / re-plant sequence
+// ptrace-based debuggers use.
+constexpr const char* kStepOverProgram = R"(
+    .globl _start
+_start:
+    li s1, 3
+    li a0, 0
+rvc:
+    addi s1, s1, 1        # c.addi
+pcrel:
+    auipc t1, 0
+    li t2, 5
+branch:
+    blt s1, t2, taken     # taken: 4 < 5
+    li a0, 99
+taken:
+    addi a0, a0, 7
+callsite:
+    jal ra, fn
+back:
+    add a0, a0, s1
+    li a7, 93
+exitcall:
+    ecall
+fn:
+    slli a0, a0, 1
+    ret
+)";
+
+TEST(ProcControl, StepOverBreakpointPinned) {
+  struct Case {
+    const char* at;    ///< breakpoint continued from
+    const char* land;  ///< second breakpoint the continue stops at, or
+                       ///< nullptr when the stepped ecall exits
+    unsigned width;    ///< bytes of the planted trap
+    // State after the second continue.
+    std::uint64_t instret, cycles, a0, s1;
+    const char* t1;  ///< symbol t1 holds, or nullptr for 0
+    const char* ra;  ///< symbol ra holds, or nullptr for 0
+  };
+  const Case cases[] = {
+      {"rvc", "pcrel", 2, 3, 3, 0, 4, nullptr, nullptr},
+      {"pcrel", "branch", 4, 5, 5, 0, 4, "pcrel", nullptr},
+      {"branch", "taken", 4, 6, 7, 0, 4, "pcrel", nullptr},
+      {"callsite", "fn", 4, 8, 10, 7, 4, "pcrel", "back"},
+      {"exitcall", nullptr, 4, 13, 16, 18, 4, "pcrel", "back"},
+  };
+  const auto st = assembler::assemble(kStepOverProgram);
+  const auto sym = [&](const char* name) -> std::uint64_t {
+    return name ? st.find_symbol(name)->value : 0;
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.at);
+    const std::uint64_t at = sym(c.at);
+    auto proc = Process::launch(st);
+    proc->insert_breakpoint(at);
+    if (c.land) proc->insert_breakpoint(sym(c.land));
+    Event ev = proc->continue_run();
+    ASSERT_EQ(static_cast<int>(ev.kind),
+              static_cast<int>(Event::Kind::Stopped));
+    ASSERT_EQ(ev.addr, at);
+
+    const emu::Machine& m = proc->machine();
+    const std::uint64_t bcache_evicts = m.cache_stats().evict_write_code;
+#if RVDYN_JIT_ENABLED
+    const std::uint64_t jit_evicts = m.jit_stats().evict_write_code;
+#endif
+    ev = proc->continue_run();
+    if (c.land) {
+      EXPECT_EQ(static_cast<int>(ev.kind),
+                static_cast<int>(Event::Kind::Stopped));
+      EXPECT_EQ(ev.addr, sym(c.land));
+      EXPECT_EQ(m.pc(), sym(c.land));
+    } else {
+      EXPECT_EQ(static_cast<int>(ev.kind),
+                static_cast<int>(Event::Kind::Exited));
+      EXPECT_EQ(ev.exit_code, 18);
+      EXPECT_EQ(m.pc(), at);  // an exiting ecall leaves pc on itself
+    }
+    EXPECT_EQ(m.instret(), c.instret);
+    EXPECT_EQ(m.cycles(), c.cycles);
+    EXPECT_EQ(m.get_reg(isa::a0), c.a0);
+    EXPECT_EQ(m.get_reg(isa::s1), c.s1);
+    EXPECT_EQ(m.get_reg(isa::t1), sym(c.t1));
+    EXPECT_EQ(m.get_reg(isa::ra), sym(c.ra));
+
+    // The step-over wrote no code and the trap is still planted.
+    EXPECT_EQ(m.cache_stats().evict_write_code, bcache_evicts);
+#if RVDYN_JIT_ENABLED
+    EXPECT_EQ(m.jit_stats().evict_write_code, jit_evicts);
+#endif
+    EXPECT_TRUE(proc->has_breakpoint(at));
+    EXPECT_EQ(proc->read_mem(at, c.width),
+              c.width == 2 ? 0x9002u : 0x00100073u);
+  }
+}
+
 }  // namespace

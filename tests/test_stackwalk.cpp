@@ -403,4 +403,67 @@ midpro:
   EXPECT_EQ(frames[1].sp, frames[0].sp + 448);
 }
 
+// Regression: a walk over a Process read memory through the zero-fill path,
+// so probing a garbage frame pointer mapped a page into the walked
+// process. Here main (which never returns, so saves no ra) points s0 one
+// page above its sp, past the stack top, and calls a leaf: the
+// frame-pointer stepper probes fp-8 in main's frame. The walk must leave
+// the mapped footprint and every byte unchanged.
+TEST(StackWalk, WalkOverProcessMapsNoPages) {
+  const char* src = R"(
+    .globl _start
+    .globl main
+    .globl leaf
+_start:
+    call main
+    li a7, 93
+    ecall
+main:
+    addi s0, sp, 2047
+    addi s0, s0, 2047
+    addi s0, s0, 2        # fp = sp + 0x1000, above the stack top
+    call leaf
+    li a7, 93
+    ecall
+leaf:
+    nop
+    ret
+)";
+  auto s = stop_at(src, "leaf");
+  const emu::Memory& mem = s.proc->machine().memory();
+  ASSERT_FALSE(mem.is_mapped(s.proc->get_reg(isa::fp) - 8));
+  const std::size_t pages = mem.mapped_pages();
+  const std::uint64_t digest = mem.digest(true);
+
+  StackWalker walker(*s.proc, *s.co);
+  const auto frames = walker.walk();
+  const auto names = frame_names(frames);
+  ASSERT_EQ(frames.size(), 2u);
+  EXPECT_EQ(names[0], "leaf");
+  EXPECT_EQ(names[1], "main");
+  EXPECT_EQ(mem.mapped_pages(), pages);
+  EXPECT_EQ(mem.digest(true), digest);
+}
+
+// invalidate_analyses() drops the memoized analyses and the last located
+// pc with them; the next walk re-resolves every frame to the same result.
+TEST(StackWalk, WalkAfterInvalidateIsIdentical) {
+  auto s = stop_at(kSpChain, "leafpoint");
+  StackWalker walker(*s.proc, *s.co);
+  const auto before = walker.walk();
+  walker.invalidate_analyses();
+  const auto after = walker.walk();
+  ASSERT_EQ(before.size(), 4u);
+  ASSERT_EQ(after.size(), before.size());
+  for (std::size_t i = 0; i < before.size(); ++i) {
+    EXPECT_EQ(after[i].pc, before[i].pc) << i;
+    EXPECT_EQ(after[i].sp, before[i].sp) << i;
+    EXPECT_EQ(after[i].fp, before[i].fp) << i;
+    EXPECT_EQ(after[i].ra, before[i].ra) << i;
+    EXPECT_EQ(after[i].func_name, before[i].func_name) << i;
+    EXPECT_EQ(after[i].func_entry, before[i].func_entry) << i;
+    EXPECT_STREQ(after[i].stepper, before[i].stepper) << i;
+  }
+}
+
 }  // namespace
