@@ -132,6 +132,7 @@ int main(int argc, char** argv) {
             {"code_bytes", static_cast<double>(s.code_bytes)},
             {"chain_hit_rate", chain_rate},
             {"dispatch_hit_rate", disp_rate},
+            {"helper_calls", static_cast<double>(s.helper_calls)},
             {"chains_installed", static_cast<double>(s.chains_installed)},
             {"evict_write_code", static_cast<double>(s.evict_write_code)},
             {"evict_fencei", static_cast<double>(s.evict_fencei)},

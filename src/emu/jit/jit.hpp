@@ -77,6 +77,7 @@ struct Stats {
   std::uint64_t blocks_entered = 0;  ///< compiled blocks executed
   std::uint64_t insns_retired = 0;   ///< guest insns retired in compiled code
   std::uint64_t dispatch_hits = 0;   ///< inline jalr-table hits
+  std::uint64_t helper_calls = 0;    ///< insns run by the generic helper
   std::uint64_t exit_edge = 0;       ///< session ends: uncompiled direct edge
   std::uint64_t exit_dispatch = 0;   ///< session ends: uncompiled jalr target
   std::uint64_t exit_budget = 0;     ///< session ends: step budget
@@ -189,6 +190,12 @@ class Tier {
 /// True when the x64 backend can run here (x86-64 Linux and the kernel's
 /// W^X policy admits an RWX anonymous mapping).
 bool x64_backend_available();
+
+/// True when the x64 backend compiles fmadd.d, fmsub.d, fnmsub.d and
+/// fnmadd.d to one `vfmadd213sd`: the host has FMA3 and AVX2, the condition
+/// under which glibc's `fma` (the interpreter's semantics) runs that same
+/// instruction. Elsewhere these forms call the generic helper.
+bool x64_fma_available();
 
 /// The JIT's only door into Machine private state. Machine befriends
 /// Runtime so backends need no public Machine API beyond the debugger

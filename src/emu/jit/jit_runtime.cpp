@@ -85,6 +85,7 @@ extern "C" void rvdyn_jit_store(JitState* st, std::uint64_t addr,
 extern "C" void rvdyn_jit_value(JitState* st, const void* insn,
                                 std::uint64_t pc) {
   auto& m = *static_cast<rvdyn::emu::Machine*>(st->machine);
+  ++st->helper_calls;
   Runtime::exec_value(m, *static_cast<const rvdyn::isa::Instruction*>(insn),
                       pc);
 }

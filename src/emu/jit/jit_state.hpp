@@ -50,6 +50,7 @@ struct JitState {
   std::uint64_t budget = 0;  ///< remaining steps; blocks subtract up front
   std::uint64_t blocks_entered = 0;  ///< compiled blocks entered (stats)
   std::uint64_t dispatch_hits = 0;   ///< inline jalr-table hits (stats)
+  std::uint64_t helper_calls = 0;    ///< generic-helper executions (stats)
   std::uint64_t sink = 0;       ///< x0-write target (threaded backend)
   std::uint32_t exit_kind = 0;  ///< ExitKind of the last side exit
   std::uint32_t exit_edge = 0;  ///< edge id for kExitEdge

@@ -313,9 +313,10 @@ class ThreadedTier final : public Tier {
       blk->ops.push_back(op);
       if (insn.mnemonic() == cfg_.sabotage) {
         const isa::OperandProgram p = isa::operand_program(insn);
-        if (p.has_rd && !p.rd_fp && p.rd != 0)
-          blk->ops.push_back({t_sabotage, static_cast<std::uint16_t>(
-                                              x_off(p.rd)),
+        if (p.has_rd && (p.rd_fp || p.rd != 0))
+          blk->ops.push_back({t_sabotage,
+                              static_cast<std::uint16_t>(
+                                  p.rd_fp ? f_off(p.rd) : x_off(p.rd)),
                               0, 0, 0, nullptr});
       }
     }

@@ -6,8 +6,16 @@
 // targets chain block-to-block without leaving native code; jalr targets go
 // through an inline direct-mapped dispatch table.
 //
+// Two compile-time specialisations keep hot FP loops and woven counters in
+// native code. The .d FMA forms become one VEX `vfmadd213sd` when the host
+// has FMA3 and AVX2 (exactly when glibc's `fma`, which the interpreter
+// calls, runs that same instruction). And a load or store whose base
+// register holds a value known inside the block (x0, or what lui, auipc,
+// addi and addiw derive from known values) probes a TLB slot fixed at
+// compile time against an imm32 page number.
+//
 // Register budget: rbx = JitState (callee-saved, saved by the entry thunk);
-// rax/rcx/rdx/rsi/rdi and xmm0 are scratch. Emitted calls keep the SysV
+// rax/rcx/rdx/rsi/rdi and xmm0-xmm2 are scratch. Emitted calls keep the SysV
 // 16-byte stack alignment (the thunk's one push re-aligns after `call`).
 #include "emu/jit/backend.hpp"
 
@@ -85,6 +93,11 @@ struct Asm {
     u8_(0x04 | (reg << 3));
     u8_(0x32);
   }
+  // [rdx + disp32] (host page + offset known at compile time).
+  void mrdx_d(unsigned reg, std::int32_t d) {
+    u8_(0x82 | (reg << 3));
+    u32_(static_cast<std::uint32_t>(d));
+  }
 
   void ld(unsigned r, std::int32_t d) { u8_(0x48); u8_(0x8B); mrb(r, d); }
   void st(unsigned r, std::int32_t d) { u8_(0x48); u8_(0x89); mrb(r, d); }
@@ -157,10 +170,95 @@ struct Asm {
   }
   void call_abs(std::uint64_t fn) { mov_ri64(RAX, fn); call_rax(); }
 
-  // movsd xmm0 ops against [rbx+d]: 0x10 load, 0x11 store, 0x58 add,
+  // movsd xmm`x` ops against [rbx+d]: 0x10 load, 0x11 store, 0x58 add,
   // 0x5C sub, 0x59 mul, 0x5E div.
-  void sse_d(std::uint8_t op, std::int32_t d) {
-    u8_(0xF2); u8_(0x0F); u8_(op); mrb(0, d);
+  void sse_d(std::uint8_t op, std::int32_t d, unsigned x = 0) {
+    u8_(0xF2); u8_(0x0F); u8_(op); mrb(x, d);
+  }
+  void movq_xmm_rax(unsigned x) {
+    u8_(0x66); u8_(0x48); u8_(0x0F); u8_(0x6E); u8_(0xC0 | (x << 3));
+  }
+  void btc_rax_63() { u8_(0x48); u8_(0x0F); u8_(0xBA); u8_(0xF8); u8_(63); }
+  /// vfmadd213sd xmm0, xmm1, xmm2 (xmm0 = xmm1 * xmm0 + xmm2): the bytes
+  /// glibc's FMA3 `fma(x, y, z)` runs with x, y, z in xmm0, xmm1, xmm2, so
+  /// the same NaN wins when several inputs are NaN.
+  void vfmadd213sd() {
+    u8_(0xC4); u8_(0xE2); u8_(0xF1); u8_(0xA9); u8_(0xC2);
+  }
+};
+
+/// Integer registers whose value is known at compile time inside one
+/// block: x0, plus what lui, auipc, addi and addiw derive from known
+/// values. Any other write to a register forgets it.
+struct KnownRegs {
+  std::uint32_t mask = 1;  ///< bit r set: v[r] holds x[r]
+  std::uint64_t v[32] = {};
+
+  bool get(unsigned r, std::uint64_t* out) const {
+    if (!(mask >> r & 1)) return false;
+    *out = v[r];
+    return true;
+  }
+  void forget(unsigned r) { if (r) mask &= ~(1u << r); }
+
+  /// Track the effect of `insn` (at `pc`) on the integer registers. The
+  /// derived values are computed exactly as the templates compute them.
+  void step(const isa::Instruction& insn, std::uint64_t pc) {
+    const isa::OperandProgram p = isa::operand_program(insn);
+    const auto imm32 = static_cast<std::uint64_t>(
+        static_cast<std::int64_t>(static_cast<std::int32_t>(p.imm)));
+    std::uint64_t b = 0, val = 0;
+    bool derived = false;
+    switch (insn.mnemonic()) {
+      case Mnemonic::lui: val = imm32; derived = true; break;
+      case Mnemonic::auipc:
+        val = pc + static_cast<std::uint64_t>(p.imm);
+        derived = true;
+        break;
+      case Mnemonic::addi:
+        derived = get(p.src[0], &b);
+        val = b + imm32;
+        break;
+      case Mnemonic::addiw:
+        derived = get(p.src[0], &b);
+        val = static_cast<std::uint64_t>(
+            static_cast<std::int64_t>(static_cast<std::int32_t>(b + imm32)));
+        break;
+      default:
+        break;
+    }
+    for (unsigned i = 0; i < insn.num_operands(); ++i) {
+      const isa::Operand& o = insn.operand(i);
+      if (o.kind == isa::Operand::Kind::Reg && o.writes() &&
+          o.reg.cls == isa::RegClass::Int)
+        forget(o.reg.num);
+    }
+    if (derived && p.rd != 0) {
+      mask |= 1u << p.rd;
+      v[p.rd] = val;
+    }
+  }
+};
+
+/// Where a TLB probe left the host address of a hit, and the jumps it
+/// took to the slow path. `fixed`: the guest address `addr` was known at
+/// compile time, the hit is [rdx + page offset] and rax is not set;
+/// otherwise rax = guest address and the hit is [rdx + rsi].
+struct Probe {
+  std::vector<std::size_t> to_slow;
+  bool fixed = false;
+  std::uint64_t addr = 0;
+
+  void host_operand(Asm& a, unsigned reg) const {
+    if (fixed) a.mrdx_d(reg, static_cast<std::int32_t>(addr & 4095));
+    else a.mrdx_rsi(reg);
+  }
+  /// Slow-path prologue: bind the misses, rdi = JitState, rsi = address.
+  void enter_slow(Asm& a) const {
+    for (std::size_t s : to_slow) a.bind(s);
+    a.u8_(0x48); a.u8_(0x89); a.u8_(0xDF);      // mov rdi, rbx
+    if (fixed) a.mov_ri64(RSI, addr);
+    else { a.u8_(0x48); a.u8_(0x89); a.u8_(0xC6); }  // mov rsi, rax
   }
 };
 
@@ -179,7 +277,8 @@ struct XBlock {
 
 class X64Tier final : public Tier {
  public:
-  explicit X64Tier(const Config& cfg) : Tier(cfg) {
+  explicit X64Tier(const Config& cfg)
+      : Tier(cfg), fma_(x64_fma_available()) {
     for (DispEntry& e : disp_) e = {~0ULL, nullptr};
   }
 
@@ -322,8 +421,10 @@ class X64Tier final : public Tier {
                  unsigned size, bool sign, bool box);
   void emit_store(Asm& a, std::int32_t src, unsigned base, std::int64_t disp,
                   unsigned size);
-  void emit_tlb_probe(Asm& a, unsigned base, std::int64_t disp, unsigned size,
-                      std::vector<std::size_t>& to_slow, bool write);
+  Probe emit_tlb_probe(Asm& a, unsigned base, std::int64_t disp,
+                       unsigned size, bool write);
+  void emit_fma(Asm& a, const isa::OperandProgram& p, bool neg_mul,
+                bool neg_add);
   void emit_profile_call(Asm& a, const BlockIR* ir, bool taken);
   void emit_acct(Asm& a, std::uint32_t n, std::uint64_t cycles) {
     a.add_mem_i32(kInstretD, static_cast<std::int32_t>(n));
@@ -343,7 +444,8 @@ class X64Tier final : public Tier {
   std::unordered_map<const std::uint8_t*, const XBlock*> code_owner_;
   std::vector<EdgeRef> edge_refs_;
   DispEntry disp_[kDispEntries];
-  bool profile_this_block_ = false;
+  const bool fma_;    ///< host runs vfmadd213sd the way glibc's fma does
+  KnownRegs known_;   ///< of the block being emitted
 };
 
 void X64Tier::emit_profile_call(Asm& a, const BlockIR* ir, bool taken) {
@@ -353,15 +455,34 @@ void X64Tier::emit_profile_call(Asm& a, const BlockIR* ir, bool taken) {
   a.call_abs(reinterpret_cast<std::uint64_t>(&rvdyn_jit_profile));
 }
 
-// Leaves rax = guest address; on TLB hit leaves rdx = host page base and
-// rsi = page offset; records jumps-to-slow-path in `to_slow`. Stores probe
-// the write TLB (filled only by the dirty-marking slow path), loads the
-// read TLB.
-void X64Tier::emit_tlb_probe(Asm& a, unsigned base, std::int64_t disp,
-                             unsigned size,
-                             std::vector<std::size_t>& to_slow, bool write) {
+// On TLB hit leaves rdx = host page base and, unless the guest address is
+// known at compile time, rax = guest address and rsi = page offset (see
+// Probe). Stores probe the write TLB (filled only by the dirty-marking slow
+// path), loads the read TLB.
+Probe X64Tier::emit_tlb_probe(Asm& a, unsigned base, std::int64_t disp,
+                              unsigned size, bool write) {
   const std::int32_t tag_d = write ? kTlbWTagD : kTlbTagD;
   const std::int32_t host_d = write ? kTlbWHostD : kTlbHostD;
+  Probe probe;
+  std::uint64_t b = 0;
+  if (known_.get(base, &b)) {
+    const std::uint64_t addr =
+        b + static_cast<std::uint64_t>(static_cast<std::int32_t>(disp));
+    const std::uint64_t page = addr >> 12;
+    // The page number must fit a positive imm32 (so it can never match the
+    // ~0 empty tag), and the access must stay inside the page.
+    if (page <= 0x7fffffffULL && (addr & 4095) + size <= 4096) {
+      const std::int32_t slot = 8 * static_cast<std::int32_t>(
+                                        page & (kTlbEntries - 1));
+      a.u8_(0x48); a.u8_(0x81); a.mrb(7, tag_d + slot);  // cmp tag[slot],
+      a.u32_(static_cast<std::uint32_t>(page));          //     page
+      probe.to_slow.push_back(a.jcc(0x5));               // jne slow
+      a.ld(RDX, host_d + slot);                          // mov rdx, host[slot]
+      probe.fixed = true;
+      probe.addr = addr;
+      return probe;
+    }
+  }
   a.ld(RAX, x_disp(base));
   if (disp) a.alui_rax(0x05, static_cast<std::int32_t>(disp));
   a.u8_(0x48); a.u8_(0x89); a.u8_(0xC1);              // mov rcx, rax
@@ -369,34 +490,34 @@ void X64Tier::emit_tlb_probe(Asm& a, unsigned base, std::int64_t disp,
   a.u8_(0x89); a.u8_(0xCA);                           // mov edx, ecx
   a.u8_(0x81); a.u8_(0xE2); a.u32_(kTlbEntries - 1);  // and edx, 255
   a.u8_(0x48); a.u8_(0x3B); a.mrb_rdx8(RCX, tag_d);   // cmp rcx, tag[rdx]
-  to_slow.push_back(a.jcc(0x5));                      // jne slow
+  probe.to_slow.push_back(a.jcc(0x5));                // jne slow
   a.u8_(0x89); a.u8_(0xC6);                           // mov esi, eax
   a.u8_(0x81); a.u8_(0xE6); a.u32_(4095);             // and esi, 4095
   if (size > 1) {
     a.u8_(0x81); a.u8_(0xFE); a.u32_(4096 - size);    // cmp esi, 4096-size
-    to_slow.push_back(a.jcc(0x7));                    // ja slow (page cross)
+    probe.to_slow.push_back(a.jcc(0x7));              // ja slow (page cross)
   }
   a.u8_(0x48); a.u8_(0x8B); a.mrb_rdx8(RDX, host_d);  // mov rdx, host[rdx]
+  return probe;
 }
 
 void X64Tier::emit_load(Asm& a, std::int32_t dst, unsigned base,
                         std::int64_t disp, unsigned size, bool sign,
                         bool box) {
-  std::vector<std::size_t> to_slow;
-  emit_tlb_probe(a, base, disp, size, to_slow, /*write=*/false);
+  const Probe probe =
+      emit_tlb_probe(a, base, disp, size, /*write=*/false);
   switch (size | (sign ? 0x100 : 0)) {
-    case 1: a.u8_(0x0F); a.u8_(0xB6); a.mrdx_rsi(RAX); break;  // movzx b
-    case 0x101: a.u8_(0x48); a.u8_(0x0F); a.u8_(0xBE); a.mrdx_rsi(RAX); break;
-    case 2: a.u8_(0x0F); a.u8_(0xB7); a.mrdx_rsi(RAX); break;  // movzx w
-    case 0x102: a.u8_(0x48); a.u8_(0x0F); a.u8_(0xBF); a.mrdx_rsi(RAX); break;
-    case 4: a.u8_(0x8B); a.mrdx_rsi(RAX); break;               // mov eax
-    case 0x104: a.u8_(0x48); a.u8_(0x63); a.mrdx_rsi(RAX); break;  // movsxd
-    default: a.u8_(0x48); a.u8_(0x8B); a.mrdx_rsi(RAX); break;  // mov rax
+    case 1: a.u8_(0x0F); a.u8_(0xB6); break;               // movzx b
+    case 0x101: a.u8_(0x48); a.u8_(0x0F); a.u8_(0xBE); break;
+    case 2: a.u8_(0x0F); a.u8_(0xB7); break;               // movzx w
+    case 0x102: a.u8_(0x48); a.u8_(0x0F); a.u8_(0xBF); break;
+    case 4: a.u8_(0x8B); break;                            // mov eax
+    case 0x104: a.u8_(0x48); a.u8_(0x63); break;           // movsxd
+    default: a.u8_(0x48); a.u8_(0x8B); break;              // mov rax
   }
+  probe.host_operand(a, RAX);
   const std::size_t done = a.jmp_();
-  for (std::size_t s : to_slow) a.bind(s);
-  a.u8_(0x48); a.u8_(0x89); a.u8_(0xDF);  // mov rdi, rbx
-  a.u8_(0x48); a.u8_(0x89); a.u8_(0xC6);  // mov rsi, rax (addr)
+  probe.enter_slow(a);
   a.mov_ri32(RDX, size | (sign ? 0x100 : 0));
   a.call_abs(reinterpret_cast<std::uint64_t>(&rvdyn_jit_load));
   a.bind(done);
@@ -409,23 +530,41 @@ void X64Tier::emit_load(Asm& a, std::int32_t dst, unsigned base,
 
 void X64Tier::emit_store(Asm& a, std::int32_t src, unsigned base,
                          std::int64_t disp, unsigned size) {
-  std::vector<std::size_t> to_slow;
-  emit_tlb_probe(a, base, disp, size, to_slow, /*write=*/true);
+  const Probe probe =
+      emit_tlb_probe(a, base, disp, size, /*write=*/true);
   a.ld(RCX, src);  // value
   switch (size) {
-    case 1: a.u8_(0x88); a.mrdx_rsi(RCX); break;
-    case 2: a.u8_(0x66); a.u8_(0x89); a.mrdx_rsi(RCX); break;
-    case 4: a.u8_(0x89); a.mrdx_rsi(RCX); break;
-    default: a.u8_(0x48); a.u8_(0x89); a.mrdx_rsi(RCX); break;
+    case 1: a.u8_(0x88); break;
+    case 2: a.u8_(0x66); a.u8_(0x89); break;
+    case 4: a.u8_(0x89); break;
+    default: a.u8_(0x48); a.u8_(0x89); break;
   }
+  probe.host_operand(a, RCX);
   const std::size_t done = a.jmp_();
-  for (std::size_t s : to_slow) a.bind(s);
-  a.u8_(0x48); a.u8_(0x89); a.u8_(0xDF);  // mov rdi, rbx
-  a.u8_(0x48); a.u8_(0x89); a.u8_(0xC6);  // mov rsi, rax (addr)
+  probe.enter_slow(a);
   a.ld(RDX, src);
   a.mov_ri32(RCX, size);
   a.call_abs(reinterpret_cast<std::uint64_t>(&rvdyn_jit_store));
   a.bind(done);
+}
+
+// rd = fma(±rs1, rs2, ±rs3) with the interpreter's operand order. A negated
+// operand has its sign bit flipped in rax before the move to xmm, which is
+// what the interpreter's unary minus does, NaNs included.
+void X64Tier::emit_fma(Asm& a, const isa::OperandProgram& p, bool neg_mul,
+                       bool neg_add) {
+  const bool neg[3] = {neg_mul, false, neg_add};
+  for (unsigned i = 0; i < 3; ++i) {
+    if (neg[i]) {
+      a.ld(RAX, f_disp(p.src[i]));
+      a.btc_rax_63();
+      a.movq_xmm_rax(i);
+    } else {
+      a.sse_d(0x10, f_disp(p.src[i]), i);
+    }
+  }
+  a.vfmadd213sd();
+  a.sse_d(0x11, f_disp(p.rd));
 }
 
 bool X64Tier::emit_insn(Asm& a, const isa::Instruction& insn,
@@ -536,6 +675,16 @@ bool X64Tier::emit_insn(Asm& a, const isa::Instruction& insn,
     case Mnemonic::fsub_d: fp2(0x5C); return true;
     case Mnemonic::fmul_d: fp2(0x59); return true;
     case Mnemonic::fdiv_d: fp2(0x5E); return true;
+    case Mnemonic::fmadd_d:
+    case Mnemonic::fmsub_d:
+    case Mnemonic::fnmsub_d:
+    case Mnemonic::fnmadd_d: {
+      if (!fma_) return false;  // the generic helper calls glibc's fma
+      const Mnemonic mn = insn.mnemonic();
+      emit_fma(a, p, mn == Mnemonic::fnmsub_d || mn == Mnemonic::fnmadd_d,
+               mn == Mnemonic::fmsub_d || mn == Mnemonic::fnmadd_d);
+      return true;
+    }
     case Mnemonic::fmv_d_x:
       a.ld(RAX, s(0));
       a.st(RAX, f_disp(p.rd));
@@ -610,6 +759,7 @@ bool X64Tier::emit_block(Machine& m, const BlockIR& ir) {
   a.inc_mem(kEnteredD);
 
   // Body templates (generic-helper call when no template exists).
+  known_ = KnownRegs{};
   for (std::size_t i = 0; i < bir.body.size(); ++i) {
     const isa::Instruction& insn = bir.body[i];
     if (!emit_insn(a, insn, bir.body_pc[i])) {
@@ -618,9 +768,15 @@ bool X64Tier::emit_block(Machine& m, const BlockIR& ir) {
       a.mov_ri64(RDX, bir.body_pc[i]);
       a.call_abs(reinterpret_cast<std::uint64_t>(&rvdyn_jit_value));
     }
+    known_.step(insn, bir.body_pc[i]);
     if (insn.mnemonic() == cfg_.sabotage) {
       const isa::OperandProgram p = isa::operand_program(insn);
-      if (p.has_rd && !p.rd_fp && p.rd != 0) a.xor_mem_i8(x_disp(p.rd), 1);
+      if (p.has_rd && p.rd_fp) {
+        a.xor_mem_i8(f_disp(p.rd), 1);
+      } else if (p.has_rd && p.rd != 0) {
+        a.xor_mem_i8(x_disp(p.rd), 1);
+        known_.forget(p.rd);
+      }
     }
   }
 
@@ -771,6 +927,14 @@ bool X64Tier::emit_block(Machine& m, const BlockIR& ir) {
 
 }  // namespace
 
+bool x64_fma_available() {
+  static const bool ok = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("fma") && __builtin_cpu_supports("avx2");
+  }();
+  return ok;
+}
+
 bool x64_backend_available() {
   static const bool ok = [] {
     void* p = mmap(nullptr, 4096, PROT_READ | PROT_WRITE | PROT_EXEC,
@@ -794,6 +958,7 @@ std::unique_ptr<Tier> make_x64_tier(const Config& cfg) {
 
 namespace rvdyn::emu::jit {
 bool x64_backend_available() { return false; }
+bool x64_fma_available() { return false; }
 std::unique_ptr<Tier> make_x64_tier(const Config&) { return nullptr; }
 }  // namespace rvdyn::emu::jit
 

@@ -166,6 +166,52 @@ loop:
 #endif
 }
 
+// A compiled block that stores through a constant address (the woven
+// counter's lui/ld/addi/sd) probes a write-TLB slot fixed at compile time.
+// Snapshot and reset both flush the write TLB, so the first such store of
+// every exec must still take the dirty-marking slow path: reset has to
+// restore the counter page, on the first exec and on every later one. At
+// hot threshold 0 the loop is compiled before its first pass, so compiled
+// code makes every store.
+TEST(FuzzSnapshot, ConstantAddressStoresStayDirtyTracked) {
+  const auto bin = assemble_str(R"(
+    .text
+    .globl _start
+_start:
+    li s0, 0
+    li s1, 64
+loop:
+    li t0, 0x30000000        # lui
+    ld t1, 8(t0)
+    addi t1, t1, 1
+    sd t1, 8(t0)
+    addi s0, s0, 1
+    blt s0, s1, loop
+    li a0, 0
+    li a7, 93
+    ecall
+)");
+  Machine m;
+#if RVDYN_JIT_ENABLED
+  m.jit_config().hot_threshold = 0;
+#endif
+  m.load(bin);
+  m.memory().write(0x30000008, 100, 8);  // pre-map so the page dirties
+  const auto snap = m.take_snapshot();
+
+  for (int round = 0; round < 4; ++round) {
+    ASSERT_EQ(m.run(), StopReason::Exited) << "round " << round;
+    EXPECT_EQ(m.memory().read(0x30000008, 8), 164u) << "round " << round;
+    const auto rs = m.reset_to_snapshot(snap);
+    EXPECT_EQ(rs.pages_restored, 1u) << "round " << round;
+    EXPECT_EQ(m.memory().read(0x30000008, 8), 100u) << "round " << round;
+  }
+#if RVDYN_JIT_ENABLED
+  EXPECT_GT(m.jit_stats().insns_retired, 4u * 64 * 6 - 64)
+      << "the counter loop did not run compiled";
+#endif
+}
+
 // Satellite regression: a snapshot restore that rewrites a code page must
 // evict the stale decoded/compiled blocks for that page. Patch a function
 // after the snapshot (changing its result), run it hot, then reset — the

@@ -299,6 +299,30 @@ TEST(Jit, BackendReportsName) {
 #endif
 }
 
+std::uint64_t helper_calls(BackendKind bk, int reps) {
+  Machine m;
+  m.jit_config().backend = bk;
+  m.load(assembler::assemble(workloads::matmul_program(12, reps)));
+  EXPECT_EQ(m.run(100'000'000), StopReason::Exited);
+  return m.jit_stats().helper_calls;
+}
+
+// jit::Stats::helper_calls counts instructions the generic helper runs.
+// matmul's kernel is fmadd.d plus templated integer ops, so where the FMA
+// templates are enabled the count does not grow with reps: only the fill
+// loop's rem and fcvt.d.l call the helper. On the threaded backend every
+// fmadd.d is a helper call.
+TEST(Jit, HelperCallsStayOutOfTheMatmulKernel) {
+  const std::uint64_t t1 = helper_calls(BackendKind::Threaded, 1);
+  EXPECT_GT(t1, 0u);
+  EXPECT_GE(helper_calls(BackendKind::Threaded, 3), t1 + 2 * 12 * 12 * 12);
+  if (!emu::jit::x64_backend_available() || !emu::jit::x64_fma_available())
+    GTEST_SKIP() << "no x64 FMA templates on this host";
+  const std::uint64_t x1 = helper_calls(BackendKind::X64, 1);
+  EXPECT_GT(x1, 0u);
+  EXPECT_EQ(helper_calls(BackendKind::X64, 3), x1);
+}
+
 #else  // !RVDYN_JIT_ENABLED
 
 TEST(Jit, CompiledOut) {
