@@ -78,6 +78,7 @@ struct Stats {
   std::uint64_t insns_retired = 0;   ///< guest insns retired in compiled code
   std::uint64_t dispatch_hits = 0;   ///< inline jalr-table hits
   std::uint64_t helper_calls = 0;    ///< insns run by the generic helper
+  std::uint64_t slow_stores = 0;     ///< stores run by the C slow path
   std::uint64_t exit_edge = 0;       ///< session ends: uncompiled direct edge
   std::uint64_t exit_dispatch = 0;   ///< session ends: uncompiled jalr target
   std::uint64_t exit_budget = 0;     ///< session ends: step budget

@@ -78,6 +78,7 @@ extern "C" std::uint64_t rvdyn_jit_load(JitState* st, std::uint64_t addr,
 extern "C" void rvdyn_jit_store(JitState* st, std::uint64_t addr,
                                 std::uint64_t value, std::uint32_t size) {
   auto& m = *static_cast<rvdyn::emu::Machine*>(st->machine);
+  ++st->slow_stores;
   Runtime::memory(m).write(addr, value, size);
   Runtime::tlb_fill_w(*st, addr);
 }

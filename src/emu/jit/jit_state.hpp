@@ -23,9 +23,9 @@
 namespace rvdyn::emu::jit {
 
 /// Direct-mapped software-TLB geometry: {guest page number -> host page
-/// base}. emu::Memory pages are allocated on first touch and never freed
-/// or moved, so a filled entry stays valid for the Machine's lifetime and
-/// the TLB never needs shootdowns.
+/// base}. emu::Memory pages never move once allocated, so a filled entry
+/// stays valid until its page is freed. Only a snapshot reset frees pages,
+/// and it drops those pages' entries (see the invariant on JitState).
 inline constexpr unsigned kTlbBits = 8;
 inline constexpr unsigned kTlbEntries = 1u << kTlbBits;
 
@@ -51,6 +51,7 @@ struct JitState {
   std::uint64_t blocks_entered = 0;  ///< compiled blocks entered (stats)
   std::uint64_t dispatch_hits = 0;   ///< inline jalr-table hits (stats)
   std::uint64_t helper_calls = 0;    ///< generic-helper executions (stats)
+  std::uint64_t slow_stores = 0;     ///< stores run by the C slow path
   std::uint64_t sink = 0;       ///< x0-write target (threaded backend)
   std::uint32_t exit_kind = 0;  ///< ExitKind of the last side exit
   std::uint32_t exit_edge = 0;  ///< edge id for kExitEdge
@@ -62,6 +63,13 @@ struct JitState {
   // (which marks the page dirty first). Keeping the fill paths disjoint is
   // what makes dirty-page tracking exact under the JIT — a load must never
   // create an entry an inline store could silently write through.
+  //
+  // Invariant: a write entry exists only for a page that is dirty-marked,
+  // dirty-exempt, or not tracked by a snapshot. Machine::take_snapshot()
+  // clears every dirty mark, so it flushes the whole write TLB;
+  // Machine::reset_to_snapshot() drops the write entry of each page it
+  // cleans and both entries of each page it frees. Exempt pages (the
+  // fuzzer's coverage map and scratch) keep their entries across resets.
   std::uint64_t tlb_tag[kTlbEntries];   ///< guest page number, ~0 = empty
   std::uint8_t* tlb_host[kTlbEntries];  ///< host base of that 4KiB page
   std::uint64_t tlb_wtag[kTlbEntries];  ///< write-TLB tags, ~0 = empty
@@ -76,16 +84,23 @@ struct JitState {
     }
   }
 
-  /// Drop every read-TLB entry (host pointers may dangle after pages are
-  /// unmapped by a snapshot reset).
-  void flush_read_tlb() {
-    for (unsigned i = 0; i < kTlbEntries; ++i) tlb_tag[i] = ~0ULL;
-  }
-  /// Drop every write-TLB entry. Required after Memory::snapshot()/reset()
-  /// so the first store into each page goes back through the slow path and
-  /// re-marks the page dirty.
+  /// Drop every write-TLB entry. Required after Memory::snapshot() so the
+  /// first store into each page goes back through the slow path and marks
+  /// the page dirty.
   void flush_write_tlb() {
     for (unsigned i = 0; i < kTlbEntries; ++i) tlb_wtag[i] = ~0ULL;
+  }
+  /// Drop `page`'s write entry: the page is clean again, so its next store
+  /// must re-mark it dirty through the slow path.
+  void drop_write_entry(std::uint64_t page) {
+    const unsigned i = page & (kTlbEntries - 1);
+    if (tlb_wtag[i] == page) tlb_wtag[i] = ~0ULL;
+  }
+  /// Drop both of `page`'s entries: its host page is being freed.
+  void drop_page(std::uint64_t page) {
+    const unsigned i = page & (kTlbEntries - 1);
+    if (tlb_tag[i] == page) tlb_tag[i] = ~0ULL;
+    if (tlb_wtag[i] == page) tlb_wtag[i] = ~0ULL;
   }
 };
 

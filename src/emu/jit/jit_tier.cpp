@@ -89,6 +89,7 @@ std::uint64_t Tier::execute(Machine& m, std::uint64_t max_steps) {
   st.blocks_entered = 0;
   st.dispatch_hits = 0;
   st.helper_calls = 0;
+  st.slow_stores = 0;
   ++stats_.sessions;
   run_session(m);
   const std::uint64_t done = max_steps - st.budget;
@@ -96,6 +97,7 @@ std::uint64_t Tier::execute(Machine& m, std::uint64_t max_steps) {
   stats_.blocks_entered += st.blocks_entered;
   stats_.dispatch_hits += st.dispatch_hits;
   stats_.helper_calls += st.helper_calls;
+  stats_.slow_stores += st.slow_stores;
   switch (st.exit_kind) {
     case kExitEdge: ++stats_.exit_edge; break;
     case kExitDispatch: ++stats_.exit_dispatch; break;
@@ -171,6 +173,8 @@ void Tier::publish_metrics() {
                     c.dispatch_hits - p.dispatch_hits);
   RVDYN_OBS_COUNT_N("rvdyn.emu.jit.helper_calls",
                     c.helper_calls - p.helper_calls);
+  RVDYN_OBS_COUNT_N("rvdyn.emu.jit.slow_stores",
+                    c.slow_stores - p.slow_stores);
   RVDYN_OBS_COUNT_N("rvdyn.emu.jit.exit.edge", c.exit_edge - p.exit_edge);
   RVDYN_OBS_COUNT_N("rvdyn.emu.jit.exit.dispatch",
                     c.exit_dispatch - p.exit_dispatch);

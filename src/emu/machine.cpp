@@ -219,23 +219,23 @@ Machine::Snapshot Machine::take_snapshot() {
 
 Machine::RestoreStats Machine::reset_to_snapshot(const Snapshot& s) {
   RestoreStats r;
-  // Check for cached-code overlap before Memory rewrites page contents: a
-  // restored (or dropped) page holding decoded/compiled code must be
-  // evicted exactly like a write_code into it would — otherwise stale host
-  // code keeps executing the pre-restore bytes.
-  if (!code_pages_.empty()) {
-    const auto check = [&](const std::vector<std::uint64_t>& pages) {
-      for (const std::uint64_t num : pages) {
-        if (code_pages_.count(num) == 0) continue;
-        const std::uint64_t lo = num << Memory::kPageBits;
-        evict_code_range(lo, lo + Memory::kPageSize);
-        r.code_invalidated = true;
-      }
-    };
-    check(mem_.dirty_pages());
-    check(mem_.fresh_pages());
-  }
-  const Memory::ResetStats ms = mem_.reset();
+  // For each page the reset cleans or drops, before Memory rewrites or
+  // frees it: a page holding decoded/compiled code is evicted exactly like
+  // a write_code into it would be (otherwise stale host code keeps
+  // executing the pre-restore bytes), and the JIT TLB loses the entries the
+  // page may no longer have — the write entry of a page that is clean again,
+  // so its next store re-marks it dirty, and both entries of a freed page.
+  // Exempt pages keep theirs, so the coverage snippet's stores stay inline.
+  const Memory::ResetStats ms =
+      mem_.reset([&](std::uint64_t num, bool holds_code, bool dropped) {
+        if (holds_code) {
+          const std::uint64_t lo = num << Memory::kPageBits;
+          evict_code_range(lo, lo + Memory::kPageSize);
+          r.code_invalidated = true;
+        }
+        if (dropped) st_.drop_page(num);
+        else st_.drop_write_entry(num);
+      });
   r.pages_restored = ms.pages_restored;
   r.pages_dropped = ms.pages_dropped;
 
@@ -252,11 +252,6 @@ Machine::RestoreStats Machine::reset_to_snapshot(const Snapshot& s) {
   exit_code_ = s.exit_code;
   stop_ = s.stop;
   out_.resize(s.out_size);
-
-  // Dirty marks are gone again: next stores must re-mark through the slow
-  // path. Dropped pages additionally invalidate cached read-TLB pointers.
-  st_.flush_write_tlb();
-  if (ms.pages_dropped != 0) st_.flush_read_tlb();
   return r;
 }
 
@@ -287,11 +282,12 @@ bool Machine::fetch(std::uint64_t pc, Instruction* out, unsigned* len) {
     line.insn = *out;
   }
   if (n != 0) {
-    // Record the page(s) this instruction occupies so snapshot restore
-    // knows which restored pages may hold decoded/compiled code. Miss-path
-    // only: one hash insert per icache fill, nothing on the hot hit path.
-    code_pages_.insert(pc >> Memory::kPageBits);
-    code_pages_.insert((pc + n - 1) >> Memory::kPageBits);
+    // Flag the page(s) this instruction occupies so snapshot restore knows
+    // which restored pages may hold decoded/compiled code. Miss-path only:
+    // nothing on the hot hit path.
+    mem_.mark_code(pc);
+    if ((pc + n - 1) >> Memory::kPageBits != pc >> Memory::kPageBits)
+      mem_.mark_code(pc + n - 1);
   }
   *len = n;
   return n != 0;

@@ -13,7 +13,6 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "emu/jit/jit.hpp"
@@ -272,7 +271,8 @@ class Machine {
   Snapshot take_snapshot();
 
   /// Rewind to `s`: restore registers/process state, copy back only the
-  /// dirty pages, unmap post-snapshot pages, and flush the write TLB.
+  /// dirty pages, unmap post-snapshot pages, and drop exactly those pages'
+  /// JIT TLB entries that would outlive their dirty mark or their page.
   /// When a restored or dropped page overlaps code that has been fetched,
   /// the decoded caches and compiled JIT blocks covering exactly those
   /// pages are evicted (the precise write_code discipline extended to
@@ -389,15 +389,6 @@ class Machine {
   /// Precise eviction of decoded/compiled code overlapping [lo, hi) —
   /// write_code's invalidation body, shared with snapshot restore.
   void evict_code_range(std::uint64_t lo, std::uint64_t hi);
-
-  /// Page numbers of every pc successfully decoded so far (maintained on
-  /// the icache miss path): snapshot restore only pays the per-page
-  /// eviction sweep for touched pages that can actually hold cached code.
-  /// Data pages commonly sit between the original text and the relocated
-  /// patch area, so a mere bounding box would false-positive on every
-  /// input-write restore. Conservative across evictions (pages stay until
-  /// re-decode), which only costs a redundant sweep, never a stale block.
-  std::unordered_set<std::uint64_t> code_pages_;
 
 #if RVDYN_JIT_ENABLED
   jit::Config jit_cfg_;

@@ -98,8 +98,8 @@ class Memory {
   /// Host pointer to `addr`'s page data (zero-fill allocating on first
   /// touch, like the load/store path). Pages never move once allocated, so
   /// the pointer stays valid until the page is dropped by reset() — the
-  /// JIT's inline TLB caches it per page, and the Machine flushes the TLB
-  /// whenever reset() drops pages.
+  /// JIT's inline TLB caches it per page, and the Machine drops a page's
+  /// TLB entries when reset() drops the page.
   std::uint8_t* page_ptr(std::uint64_t addr) { return page(addr); }
 
   /// Like page_ptr, but records the page as dirty first: the JIT's store
@@ -171,35 +171,22 @@ class Memory {
 
   // --- snapshot / dirty-page reset -----------------------------------------
 
-  /// Deep-copy every mapped non-exempt page and arm dirty tracking. A
-  /// second call replaces the previous snapshot.
+  /// Copy every mapped non-exempt page into its record's snapshot buffer
+  /// and arm dirty tracking. A second call replaces the previous snapshot,
+  /// reusing the buffers.
   void snapshot() {
-    snap_.clear();
     dirty_list_.clear();
     fresh_list_.clear();
     for (auto& [num, pg] : pages_) {
       pg->dirty = false;
       if (pg->exempt) continue;
-      auto copy = std::make_unique<PageBytes>(pg->bytes);
-      snap_.emplace(num, std::move(copy));
+      if (!pg->snap) pg->snap = std::make_unique<PageBytes>();
+      *pg->snap = pg->bytes;
     }
     tracking_ = true;
   }
 
   bool snapshot_active() const { return tracking_; }
-
-  /// Stop tracking and free the snapshot copies (dirty/fresh lists kept
-  /// empty; pages keep their current contents).
-  void drop_snapshot() {
-    tracking_ = false;
-    snap_.clear();
-    for (std::uint64_t num : dirty_list_) {
-      const auto it = pages_.find(num);
-      if (it != pages_.end()) it->second->dirty = false;
-    }
-    dirty_list_.clear();
-    fresh_list_.clear();
-  }
 
   struct ResetStats {
     std::size_t pages_restored = 0;  ///< dirty pages copied back
@@ -208,23 +195,27 @@ class Memory {
 
   /// Restore the snapshot: copy back only the dirty pages, unmap pages
   /// first touched after snapshot() (so the mapped footprint — and
-  /// digest() — matches the snapshot exactly), and clear both lists.
-  /// Dropping a page invalidates host pointers previously returned for it;
-  /// the Machine flushes its TLBs accordingly.
-  ResetStats reset() {
+  /// digest() — matches the snapshot exactly), and clear both lists. The
+  /// dirty list holds page records, so a restore is one copy per page and
+  /// no lookup. `on_page(num, holds_code, dropped)` runs for each page the
+  /// reset cleans or drops, before its bytes change or its record is freed:
+  /// the Machine evicts cached code and JIT TLB entries there. Dropping a
+  /// page invalidates host pointers previously returned for it.
+  template <typename OnPage>
+  ResetStats reset(OnPage&& on_page) {
     ResetStats st;
-    for (std::uint64_t num : dirty_list_) {
-      const auto it = pages_.find(num);
-      if (it == pages_.end()) continue;
-      it->second->dirty = false;
-      const auto sit = snap_.find(num);
-      if (sit == snap_.end()) continue;  // fresh page, dropped below
-      it->second->bytes = *sit->second;
+    for (PageRec* r : dirty_list_) {
+      r->dirty = false;
+      if (!r->snap) continue;  // fresh page, dropped below
+      on_page(r->num, r->code, false);
+      r->bytes = *r->snap;
       ++st.pages_restored;
     }
     dirty_list_.clear();
-    for (std::uint64_t num : fresh_list_) {
-      pages_.erase(num);
+    for (const PageRec* r : fresh_list_) {
+      const std::uint64_t num = r->num;
+      on_page(num, r->code, true);
+      pages_.erase(num);  // frees r
       ++st.pages_dropped;
     }
     fresh_list_.clear();
@@ -243,42 +234,74 @@ class Memory {
       r.dirty = false;
       // Retroactively scrub the page from any tracking state so it is
       // neither restored nor dropped by a later reset().
-      snap_.erase(p);
-      purge(dirty_list_, p);
-      purge(fresh_list_, p);
+      r.snap.reset();
+      purge(dirty_list_, &r);
+      purge(fresh_list_, &r);
     }
+  }
+
+  /// Flag `addr`'s page as holding decoded code (no-op when unmapped), so a
+  /// reset that restores or drops the page evicts that code first.
+  void mark_code(std::uint64_t addr) {
+    const auto it = pages_.find(addr >> kPageBits);
+    if (it != pages_.end()) it->second->code = true;
   }
 
   /// Page numbers dirtied since the snapshot (insertion order, exact: one
   /// entry per touched page). Valid while the snapshot is armed.
-  const std::vector<std::uint64_t>& dirty_pages() const { return dirty_list_; }
+  std::vector<std::uint64_t> dirty_pages() const {
+    return numbers(dirty_list_);
+  }
   /// Page numbers first mapped after the snapshot (dropped by reset()).
-  const std::vector<std::uint64_t>& fresh_pages() const { return fresh_list_; }
+  std::vector<std::uint64_t> fresh_pages() const {
+    return numbers(fresh_list_);
+  }
 
   std::size_t mapped_pages() const { return pages_.size(); }
 
  private:
   using PageBytes = std::array<std::uint8_t, kPageSize>;
+  /// Everything known about one page, found with one lookup.
   struct PageRec {
     PageBytes bytes;
+    std::uint64_t num = 0;  ///< guest page number
+    /// Contents at the last snapshot(); null for exempt pages and pages
+    /// first mapped after it.
+    std::unique_ptr<PageBytes> snap;
     bool dirty = false;
     bool exempt = false;
+    /// An instruction was decoded from this page (set on the Machine's
+    /// icache miss path). Data pages commonly sit between the original
+    /// text and the relocated patch area, so only flagged pages pay a
+    /// code eviction on restore. Conservative across evictions (the flag
+    /// stays until the record is freed), which only costs a redundant
+    /// sweep, never a stale block.
+    bool code = false;
   };
 
-  static void purge(std::vector<std::uint64_t>& v, std::uint64_t num) {
+  static void purge(std::vector<PageRec*>& v, const PageRec* r) {
     for (std::size_t i = 0; i < v.size(); ++i)
-      if (v[i] == num) {
+      if (v[i] == r) {
         v.erase(v.begin() + static_cast<std::ptrdiff_t>(i));
         return;
       }
   }
 
+  static std::vector<std::uint64_t> numbers(const std::vector<PageRec*>& v) {
+    std::vector<std::uint64_t> out;
+    out.reserve(v.size());
+    for (const PageRec* r : v) out.push_back(r->num);
+    return out;
+  }
+
   PageRec& rec(std::uint64_t addr) {
-    auto& p = pages_[addr >> kPageBits];
+    const std::uint64_t num = addr >> kPageBits;
+    auto& p = pages_[num];
     if (!p) {
       p = std::make_unique<PageRec>();
       p->bytes.fill(0);
-      if (tracking_) fresh_list_.push_back(addr >> kPageBits);
+      p->num = num;
+      if (tracking_) fresh_list_.push_back(p.get());
     }
     return *p;
   }
@@ -289,15 +312,14 @@ class Memory {
     PageRec& r = rec(addr);
     if (tracking_ && !r.dirty && !r.exempt) {
       r.dirty = true;
-      dirty_list_.push_back(addr >> kPageBits);
+      dirty_list_.push_back(&r);
     }
     return r.bytes.data();
   }
 
   std::unordered_map<std::uint64_t, std::unique_ptr<PageRec>> pages_;
-  std::unordered_map<std::uint64_t, std::unique_ptr<PageBytes>> snap_;
-  std::vector<std::uint64_t> dirty_list_;
-  std::vector<std::uint64_t> fresh_list_;
+  std::vector<PageRec*> dirty_list_;  ///< dirtied since the snapshot
+  std::vector<PageRec*> fresh_list_;  ///< first mapped since the snapshot
   bool tracking_ = false;
 };
 

@@ -19,9 +19,21 @@ std::size_t Corpus::add(std::vector<std::uint8_t> bytes, unsigned novelty) {
   return entries_.size() - 1;
 }
 
-Corpus::Entry Corpus::get(std::size_t idx) const {
+unsigned Corpus::copy_entry(std::size_t idx,
+                            std::vector<std::uint8_t>& out) const {
   std::lock_guard lock(mu_);
-  return entries_.at(idx);
+  const Entry& e = entries_.at(idx);
+  out.assign(e.bytes.begin(), e.bytes.end());
+  return e.novelty;
+}
+
+std::size_t Corpus::copy_prefix(std::size_t idx, std::uint8_t* dst,
+                                std::size_t n) const {
+  std::lock_guard lock(mu_);
+  const std::vector<std::uint8_t>& bytes = entries_.at(idx).bytes;
+  n = std::min(n, bytes.size());
+  if (n != 0) std::memcpy(dst, bytes.data(), n);
+  return n;
 }
 
 std::size_t Corpus::size() const {
@@ -89,15 +101,11 @@ void Mutator::mutate(std::vector<std::uint8_t>& data, const Corpus& corpus,
       case 4:  // truncate
         if (data.size() > 1) data.resize(1 + next() % (data.size() - 1));
         break;
-      case 5: {  // splice: overwrite a run with another corpus entry's bytes
+      case 5:  // splice: overwrite a run with another corpus entry's bytes
         if (corpus.size() == 0) break;
-        const Corpus::Entry donor = corpus.get(next() % corpus.size());
-        if (donor.bytes.empty()) break;
-        const std::size_t n =
-            std::min(donor.bytes.size(), data.size() - pos);
-        std::memcpy(data.data() + pos, donor.bytes.data(), n);
+        corpus.copy_prefix(next() % corpus.size(), data.data() + pos,
+                           data.size() - pos);
         break;
-      }
     }
   }
   if (data.size() > max_len) data.resize(max_len);
@@ -122,17 +130,23 @@ bool is_crash(emu::StopReason r) {
 }  // namespace
 
 /// Everything one shard owns: a private guest, its snapshot, a private
-/// RNG/mutation stream, a map read-back buffer, and a private metric
+/// RNG/mutation stream, reused input and map buffers, and a private metric
 /// namespace — workers share only the corpus, the global coverage set and
 /// the result under their own locks.
 struct Campaign::Worker {
   emu::Machine m;
   emu::Machine::Snapshot snap;
   Mutator mut;
+  std::vector<std::uint8_t> base;   ///< the corpus entry being mutated
+  std::vector<std::uint8_t> input;  ///< this exec's test case
   std::vector<std::uint8_t> map;
   obs::ScopedView view;
   obs::Counter c_execs, c_scans, c_admits, c_crashes, c_hangs,
       c_resets_pages;
+  // Per-exec tallies are plain fields, so an exec pays no atomic add;
+  // publish_tallies() adds them to c_execs / c_resets_pages.
+  std::uint64_t execs = 0;
+  std::uint64_t reset_pages = 0;
 
   Worker(std::uint64_t seed, const std::string& prefix, unsigned widx)
       : mut(seed),
@@ -144,6 +158,12 @@ struct Campaign::Worker {
         c_crashes(view.qualify("crashes")),
         c_hangs(view.qualify("hangs")),
         c_resets_pages(view.qualify("reset_pages")) {}
+
+  void publish_tallies() {
+    c_execs.add(execs);
+    c_resets_pages.add(reset_pages);
+    execs = reset_pages = 0;
+  }
 };
 
 Campaign::Campaign(const symtab::Symtab& target, CampaignOptions opts)
@@ -183,8 +203,7 @@ bool Campaign::claim_exec(std::uint64_t* exec_no) {
 
 bool Campaign::execute_one(Worker& w, const std::vector<std::uint8_t>& input,
                            std::uint64_t exec_no) {
-  const auto rs = w.m.reset_to_snapshot(w.snap);
-  w.c_resets_pages.add(rs.pages_restored);
+  w.reset_pages += w.m.reset_to_snapshot(w.snap).pages_restored;
   emu::Memory& mem = w.m.memory();
   // Scratch slots are dirty-exempt (not restored); re-zero them so the
   // first woven block of this run starts a fresh edge chain.
@@ -195,7 +214,7 @@ bool Campaign::execute_one(Worker& w, const std::vector<std::uint8_t>& input,
 
   w.m.run(opts_.exec_step_budget);
   const emu::StopReason stop = w.m.last_stop();
-  w.c_execs.add(1);
+  ++w.execs;
 
   if (is_crash(stop)) {
     w.c_crashes.add(1);
@@ -242,14 +261,17 @@ void Campaign::run_worker(unsigned widx) {
   // way are reachable only through later picks.
   for (std::size_t idx = widx % corpus_.size();;
        idx = corpus_.pick(w.mut.next())) {
-    const Corpus::Entry entry = corpus_.get(idx);
-    const unsigned rounds = opts_.batch * Corpus::energy(entry.novelty);
+    const unsigned rounds =
+        opts_.batch * Corpus::energy(corpus_.copy_entry(idx, w.base));
     for (unsigned i = 0; i < rounds; ++i) {
       std::uint64_t exec_no = 0;
-      if (!claim_exec(&exec_no)) return;
-      std::vector<std::uint8_t> data = entry.bytes;
-      w.mut.mutate(data, corpus_, opts_.max_input_len);
-      execute_one(w, data, exec_no);
+      if (!claim_exec(&exec_no)) {
+        w.publish_tallies();
+        return;
+      }
+      w.input.assign(w.base.begin(), w.base.end());
+      w.mut.mutate(w.input, corpus_, opts_.max_input_len);
+      execute_one(w, w.input, exec_no);
     }
   }
 }
@@ -277,6 +299,7 @@ CampaignResult Campaign::run() {
   for (const auto& s : seeds_)
     if (!execute_one(*workers_[0], s, ++execs_) && corpus_.size() == 0)
       corpus_.add(s, 0);  // keep at least one schedulable entry
+  workers_[0]->publish_tallies();
 
   run_on_workers(opts_.workers, [this](unsigned widx) { run_worker(widx); });
 

@@ -119,14 +119,15 @@ class GlobalCoverage {
 /// that lit more new edges when admitted get mutated more often.
 class Corpus {
  public:
-  struct Entry {
-    std::vector<std::uint8_t> bytes;
-    unsigned novelty = 0;  ///< globally-new edges at admission
-  };
-
   /// Returns the new entry's index.
   std::size_t add(std::vector<std::uint8_t> bytes, unsigned novelty);
-  Entry get(std::size_t idx) const;
+  /// Copy entry `idx`'s bytes into `out`, reusing its capacity; returns the
+  /// entry's novelty.
+  unsigned copy_entry(std::size_t idx, std::vector<std::uint8_t>& out) const;
+  /// Copy the first min(n, entry size) bytes of entry `idx` to `dst`;
+  /// returns how many were copied.
+  std::size_t copy_prefix(std::size_t idx, std::uint8_t* dst,
+                          std::size_t n) const;
   std::size_t size() const;
   /// Mutation rounds an entry earns per schedule: 1 + log2(novelty+1).
   static unsigned energy(unsigned novelty);
@@ -134,6 +135,11 @@ class Corpus {
   std::size_t pick(std::uint64_t rng_state) const;
 
  private:
+  struct Entry {
+    std::vector<std::uint8_t> bytes;
+    unsigned novelty = 0;  ///< globally-new edges at admission
+  };
+
   mutable std::mutex mu_;
   std::vector<Entry> entries_;
   std::uint64_t total_energy_ = 0;

@@ -298,7 +298,8 @@ TEST_P(ImmMaterialize, RoundTripThroughEmulator) {
       0x7fff, 0x12345, -0x12345, 0x7fffffff, -0x80000000LL,
       0x80000000LL, 0x100000000LL, 0x123456789abcdef0LL,
       -0x123456789abcdefLL, static_cast<std::int64_t>(0x8000000000000000ULL),
-      (static_cast<std::int64_t>(i) * 0x9e3779b97f4a7c15LL) ^ (i << 13),
+      static_cast<std::int64_t>(
+          (static_cast<std::int64_t>(i) * 0x9e3779b97f4a7c15LL) ^ (i << 13)),
   };
   for (const std::int64_t v : probes) {
     std::vector<isa::Instruction> seq;

@@ -63,10 +63,11 @@ TEST(DecodeFastPath, TablePathMatchesReferenceScan32) {
       const bool okr = dec.decode32_linear(word, &ref);
       ASSERT_EQ(okf, okr) << std::hex << "word=" << word
                           << " profile=" << profile.mask();
-      if (okf)
+      if (okf) {
         ASSERT_TRUE(same_instruction(fast, ref))
             << std::hex << "word=" << word << ": " << fast.to_string()
             << " vs " << ref.to_string();
+      }
       ++checked;
     }
   }
@@ -92,8 +93,9 @@ TEST(DecodeFastPath, EveryOpcodeEntryMatchesReference) {
         const bool okr = dec.decode32_linear(word, &ref);
         ASSERT_EQ(okf, okr)
             << std::hex << "word=" << word << " profile=" << profile.mask();
-        if (okf)
+        if (okf) {
           ASSERT_TRUE(same_instruction(fast, ref)) << std::hex << word;
+        }
       }
     }
   }

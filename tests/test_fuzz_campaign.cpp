@@ -142,6 +142,26 @@ TEST(FuzzCampaign, RepeatCampaignsStartClean) {
   EXPECT_EQ(found_at[0], found_at[1]);
 }
 
+// The search itself is pinned: with default options and one worker, a
+// campaign is a function of its seed, so seeds 1-6 must find the "RV!" bug
+// at exactly these execs, with the same corpus and coverage. Any change to
+// the mutator's draws, the schedule or the novelty gate moves them.
+TEST(FuzzCampaign, SeededSearchIsPinned) {
+  const auto bin = target_binary("RV!");
+  const std::uint64_t found_at[] = {18218, 35754, 51619, 41200, 21845, 50404};
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    fuzz::CampaignOptions o;
+    o.seed = seed;
+    fuzz::Campaign c(bin, o);
+    const auto r = c.run();
+    ASSERT_TRUE(r.found_crash()) << "seed " << seed;
+    EXPECT_EQ(r.crashes.front().found_at_exec, found_at[seed - 1])
+        << "seed " << seed;
+    EXPECT_EQ(r.corpus_size, 6u) << "seed " << seed;
+    EXPECT_EQ(r.edges_covered, 15u) << "seed " << seed;
+  }
+}
+
 TEST(FuzzCampaign, ScopedViewIsolatesNamespaces) {
   obs::ScopedView a("fuzztest.a"), b("fuzztest.b");
   const auto ca = a.counter("hits");

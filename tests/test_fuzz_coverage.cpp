@@ -84,8 +84,11 @@ TEST(FuzzCoverage, SecondRunOfSameInputIsNotNovel) {
 
   std::vector<std::uint8_t> map(fuzz::kMapSize);
   fuzz::read_map(m, map.data());
-  for (std::uint64_t i = 0; i < fuzz::kMapSize; ++i)
-    if (map[i] != 0) EXPECT_EQ(map[i] & 1, 1) << "slot " << i;
+  for (std::uint64_t i = 0; i < fuzz::kMapSize; ++i) {
+    if (map[i] != 0) {
+      EXPECT_EQ(map[i] & 1, 1) << "slot " << i;
+    }
+  }
 }
 
 // Same input on two fresh machines: byte-identical 64 KiB maps.
@@ -122,9 +125,10 @@ TEST(FuzzCoverage, MapIsIdenticalWithAndWithoutJit) {
       m.reset_to_snapshot(snap);
     }
 #if RVDYN_JIT_ENABLED
-    if (jit_on)
+    if (jit_on) {
       EXPECT_GT(m.jit_stats().blocks_entered, 0u)
           << "JIT never engaged; comparison lost its point";
+    }
 #endif
     maps[jit_on ? 1 : 0].resize(fuzz::kMapSize);
     fuzz::read_map(m, maps[jit_on ? 1 : 0].data());

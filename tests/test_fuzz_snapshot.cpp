@@ -25,6 +25,90 @@ symtab::Symtab assemble_str(const std::string& src) {
   return assembler::assemble(src);
 }
 
+// The tiers the write-TLB tests run on: each JIT backend at hot threshold
+// 0, so compiled code makes every access, or the interpreter alone in a
+// jit-off build.
+#if RVDYN_JIT_ENABLED
+using Tier = emu::jit::BackendKind;
+const Tier kTiers[] = {Tier::X64, Tier::Threaded};
+const char* tier_name(Tier t) { return t == Tier::X64 ? "x64" : "threaded"; }
+void use_tier(Machine& m, Tier t) {
+  m.jit_config().backend = t;
+  m.jit_config().hot_threshold = 0;
+}
+#else
+using Tier = int;
+const Tier kTiers[] = {0};
+const char* tier_name(Tier) { return "interpreter"; }
+void use_tier(Machine&, Tier) {}
+#endif
+
+// A loop of 64 passes, each bumping the u64 at offset 8 of `exempt` and
+// then the one of `tracked`, both through constant addresses.
+std::string two_counter_loop(std::uint64_t exempt, std::uint64_t tracked) {
+  return R"(
+    .text
+    .globl _start
+_start:
+    li s0, 0
+    li s1, 64
+loop:
+    li t0, )" + std::to_string(exempt) + R"(
+    ld t1, 8(t0)
+    addi t1, t1, 1
+    sd t1, 8(t0)
+    li t2, )" + std::to_string(tracked) + R"(
+    ld t3, 8(t2)
+    addi t3, t3, 1
+    sd t3, 8(t2)
+    addi s0, s0, 1
+    blt s0, s1, loop
+    li a0, 0
+    li a7, 93
+    ecall
+)";
+}
+
+// Run two_counter_loop(exempt, tracked) for 5 snapshot-reset rounds: the
+// tracked page is restored every round, the exempt counter accumulates, and
+// the compiled stores take `first` slow-path stores in round 0 and `later`
+// in each round after.
+void check_exempt_and_tracked(std::uint64_t exempt, std::uint64_t tracked,
+                              std::uint64_t first, std::uint64_t later) {
+  const auto bin = assemble_str(two_counter_loop(exempt, tracked));
+  for (const Tier tier : kTiers) {
+    SCOPED_TRACE(tier_name(tier));
+    Machine m;
+    use_tier(m, tier);
+    m.load(bin);
+    m.memory().set_dirty_exempt(exempt, Memory::kPageSize);
+    m.memory().write(tracked + 8, 100, 8);  // pre-map so the page dirties
+    const auto snap = m.take_snapshot();
+
+    for (std::uint64_t round = 0; round < 5; ++round) {
+#if RVDYN_JIT_ENABLED
+      const std::uint64_t slow0 = m.jit_stats().slow_stores;
+#endif
+      ASSERT_EQ(m.run(), StopReason::Exited) << "round " << round;
+      EXPECT_EQ(m.memory().read(tracked + 8, 8), 164u) << "round " << round;
+      EXPECT_EQ(m.memory().read(exempt + 8, 8), 64 * (round + 1))
+          << "round " << round;
+#if RVDYN_JIT_ENABLED
+      EXPECT_EQ(m.jit_stats().slow_stores - slow0, round == 0 ? first : later)
+          << "round " << round;
+#endif
+      const auto rs = m.reset_to_snapshot(snap);
+      EXPECT_EQ(rs.pages_restored, 1u) << "round " << round;
+      EXPECT_EQ(rs.pages_dropped, 0u) << "round " << round;
+      EXPECT_EQ(m.memory().read(tracked + 8, 8), 100u) << "round " << round;
+    }
+#if RVDYN_JIT_ENABLED
+    EXPECT_GT(m.jit_stats().insns_retired, 5u * 64 * 10)
+        << "the counter loop did not run compiled";
+#endif
+  }
+}
+
 // Reset must reproduce the cold-load state bit-exactly: digest, registers,
 // pc, instret — after the guest ran to completion and touched real memory.
 TEST(FuzzSnapshot, ResetMatchesColdReload) {
@@ -122,10 +206,10 @@ _start:
   EXPECT_EQ(m.memory().read(0x30001ffc, 8), 0u);
 }
 
-// Compiled inline stores go through the write TLB; after a reset the write
-// TLB is flushed, so the same stores must re-mark their pages dirty on the
-// next iteration. Run a store loop hot enough to JIT, reset, run again —
-// the second run's dirty list must match the first's.
+// Compiled inline stores go through the write TLB; a reset drops the write
+// entry of every page it cleans, so the same stores must re-mark their
+// pages dirty on the next iteration. Run a store loop hot enough to JIT,
+// reset, run again — the second run's dirty list must match the first's.
 TEST(FuzzSnapshot, WriteTlbRemarksAfterReset) {
   const auto bin = assemble_str(R"(
     .text
@@ -168,11 +252,11 @@ loop:
 
 // A compiled block that stores through a constant address (the woven
 // counter's lui/ld/addi/sd) probes a write-TLB slot fixed at compile time.
-// Snapshot and reset both flush the write TLB, so the first such store of
-// every exec must still take the dirty-marking slow path: reset has to
-// restore the counter page, on the first exec and on every later one. At
-// hot threshold 0 the loop is compiled before its first pass, so compiled
-// code makes every store.
+// Snapshot flushes the write TLB and reset drops the entry of each page it
+// cleans, so the first such store of every exec must still take the
+// dirty-marking slow path: reset has to restore the counter page, on the
+// first exec and on every later one. At hot threshold 0 the loop is
+// compiled before its first pass, so compiled code makes every store.
 TEST(FuzzSnapshot, ConstantAddressStoresStayDirtyTracked) {
   const auto bin = assemble_str(R"(
     .text
@@ -210,6 +294,70 @@ loop:
   EXPECT_GT(m.jit_stats().insns_retired, 4u * 64 * 6 - 64)
       << "the counter loop did not run compiled";
 #endif
+}
+
+// Reset drops only the write entries of the pages it cleans, so a dirty-
+// exempt page (the coverage map) keeps its entry and its stores stay inline
+// across resets: after round 0, each round takes exactly one slow-path
+// store, the one that re-marks the tracked page dirty. The pages sit in
+// different TLB slots.
+TEST(FuzzSnapshot, ExemptPagesKeepWriteEntriesAcrossResets) {
+  check_exempt_and_tracked(0x6f000000, 0x30001000, 2, 1);
+}
+
+// The same loop with the two pages 256 pages apart, so they share one TLB
+// slot and every store evicts the other page's entry (two slow-path stores
+// per pass). Dropping the tracked page's entry must not depend on the slot
+// holding it: the page is still restored every round.
+TEST(FuzzSnapshot, ExemptAndTrackedPagesSharingATlbSlot) {
+  check_exempt_and_tracked(0x30100000, 0x30000000, 128, 128);
+}
+
+// A page first touched after the snapshot is freed by the reset, so the
+// reset must drop its read entry as well as its write entry: compiled loads
+// and stores to that address must then reach a fresh zero-filled page, not
+// the freed one (a heap-use-after-free under ASan).
+TEST(FuzzSnapshot, DroppedPageLosesBothTlbEntries) {
+  const auto bin = assemble_str(R"(
+    .text
+    .globl _start
+_start:
+    li s0, 0
+    li s1, 64
+loop:
+    li t0, 0x40000000
+    ld t1, 8(t0)
+    addi t1, t1, 1
+    sd t1, 8(t0)
+    addi s0, s0, 1
+    blt s0, s1, loop
+    mv a0, t1
+    li a7, 93
+    ecall
+)");
+  for (const Tier tier : kTiers) {
+    SCOPED_TRACE(tier_name(tier));
+    Machine m;
+    use_tier(m, tier);
+    m.load(bin);
+    const std::size_t mapped0 = m.memory().mapped_pages();
+    const auto snap = m.take_snapshot();
+
+    for (int round = 0; round < 4; ++round) {
+      ASSERT_EQ(m.run(), StopReason::Exited) << "round " << round;
+      EXPECT_EQ(m.exit_code(), 64) << "round " << round;
+      EXPECT_EQ(m.memory().read(0x40000008, 8), 64u) << "round " << round;
+      EXPECT_EQ(m.memory().mapped_pages(), mapped0 + 1) << "round " << round;
+      const auto rs = m.reset_to_snapshot(snap);
+      EXPECT_EQ(rs.pages_dropped, 1u) << "round " << round;
+      EXPECT_EQ(rs.pages_restored, 0u) << "round " << round;
+      EXPECT_EQ(m.memory().mapped_pages(), mapped0) << "round " << round;
+    }
+#if RVDYN_JIT_ENABLED
+    EXPECT_GT(m.jit_stats().insns_retired, 4u * 64 * 5)
+        << "the counter loop did not run compiled";
+#endif
+  }
 }
 
 // Satellite regression: a snapshot restore that rewrites a code page must

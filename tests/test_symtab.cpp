@@ -91,8 +91,9 @@ TEST(Symtab, WriteProducesMappableImage) {
     std::memcpy(&ph, image.data() + eh.e_phoff + i * sizeof(ph), sizeof(ph));
     EXPECT_EQ(ph.p_type, symtab::PT_LOAD);
     EXPECT_EQ(ph.p_offset % 0x1000, ph.p_vaddr % 0x1000) << "segment " << i;
-    if (ph.p_filesz > 0)  // offsets of zero-filesz (bss) segments are moot
+    if (ph.p_filesz > 0) {  // offsets of zero-filesz (bss) segments are moot
       EXPECT_LE(ph.p_offset + ph.p_filesz, image.size());
+    }
     EXPECT_GE(ph.p_memsz, ph.p_filesz);
   }
 }
