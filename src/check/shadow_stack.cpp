@@ -121,8 +121,9 @@ ShadowStackReport run_shadow_stack(const std::string& name,
       if (frames[k].pc != want_pc) {
         diverge(step, "frame " + std::to_string(k) + " pc mismatch at step " +
                           std::to_string(step) + ": walk " +
-                          hex(frames[k].pc) + " (" + frames[k].func_name +
-                          ") vs shadow " + hex(want_pc));
+                          hex(frames[k].pc) + " (" +
+                          std::string(frames[k].func_name) + ") vs shadow " +
+                          hex(want_pc));
         return;
       }
       if (k > 0 && frames[k].sp != shadow[depth - 1 - k].sp) {

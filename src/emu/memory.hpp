@@ -169,6 +169,14 @@ class Memory {
     return v;
   }
 
+  /// Host bytes of the page containing `addr`, or nullptr when it is
+  /// unmapped. Never maps a page. The pointer stays valid until reset()
+  /// drops the page.
+  const std::uint8_t* page_data(std::uint64_t addr) const {
+    const auto it = pages_.find(addr >> kPageBits);
+    return it == pages_.end() ? nullptr : it->second->bytes.data();
+  }
+
   // --- snapshot / dirty-page reset -----------------------------------------
 
   /// Copy every mapped non-exempt page into its record's snapshot buffer

@@ -52,7 +52,7 @@ void Sampler::on_sample(emu::Machine& m) {
     // walk() returns innermost first; folded stacks want root first.
     for (auto it = frames.rbegin(); it != frames.rend(); ++it)
       names.push_back(it->func_name.empty() ? co_.symbolize(it->pc)
-                                            : it->func_name);
+                                            : std::string(it->func_name));
   } else {
     names.push_back(co_.symbolize(pc));
   }

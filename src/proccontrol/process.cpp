@@ -32,22 +32,25 @@ unsigned Process::insn_width_at(std::uint64_t addr) {
   return isa::is_compressed_encoding(half) ? 2u : 4u;
 }
 
+Process::SavedBytes Process::plant_trap(std::uint64_t addr) {
+  RVDYN_OBS_COUNT("rvdyn.proc.breakpoints_inserted");
+  SavedBytes saved;
+  saved.size = static_cast<std::uint8_t>(insn_width_at(addr));
+  machine_->memory().read_bytes(addr, saved.bytes.data(), saved.size);
+  machine_->write_code(addr, saved.size == 2 ? kEbreak16 : kEbreak32,
+                       saved.size);
+  return saved;
+}
+
 void Process::insert_breakpoint(std::uint64_t addr) {
   if (breakpoints_.count(addr)) return;
-  RVDYN_OBS_COUNT("rvdyn.proc.breakpoints_inserted");
-  const unsigned width = insn_width_at(addr);
-  SavedBytes saved;
-  saved.bytes.resize(width);
-  machine_->memory().read_bytes(addr, saved.bytes.data(), width);
-  machine_->write_code(addr, width == 2 ? kEbreak16 : kEbreak32, width);
-  breakpoints_.emplace(addr, std::move(saved));
+  breakpoints_.emplace(addr, plant_trap(addr));
 }
 
 void Process::remove_breakpoint(std::uint64_t addr) {
   auto it = breakpoints_.find(addr);
   if (it == breakpoints_.end()) return;
-  machine_->write_code(addr, it->second.bytes.data(),
-                       it->second.bytes.size());
+  restore(addr, it->second);
   breakpoints_.erase(it);
 }
 
@@ -90,8 +93,7 @@ StopReason Process::step_over_breakpoint() {
   // decoded or compiled code covering the breakpoint is evicted. The
   // stepped instruction may itself terminate the process (an exiting
   // ecall) or fault; that outcome must surface, not be swallowed.
-  return machine_->step_bytes(it->second.bytes.data(),
-                              it->second.bytes.size());
+  return machine_->step_bytes(it->second.bytes.data(), it->second.size);
 }
 
 Event Process::continue_run(std::uint64_t max_steps) {
@@ -124,25 +126,25 @@ Event Process::step_native() {
   return Event{Event::Kind::Stepped, machine_->pc(), 0};
 }
 
-std::vector<std::uint64_t> Process::successors_of(std::uint64_t addr) {
+Process::Successors Process::successors_of(std::uint64_t addr) {
   std::uint8_t buf[4];
   machine_->memory().read_bytes(addr, buf, 4);
-  isa::Decoder dec;
   isa::Instruction insn;
-  const unsigned len = dec.decode(buf, 4, &insn);
+  const unsigned len = decoder_.decode(buf, 4, &insn);
   if (len == 0) return {};
   const std::uint64_t next = addr + len;
   if (insn.is_cond_branch())
-    return {next, addr + static_cast<std::uint64_t>(insn.branch_offset())};
+    return {{next, addr + static_cast<std::uint64_t>(insn.branch_offset())},
+            2};
   if (insn.is_jal())
-    return {addr + static_cast<std::uint64_t>(insn.branch_offset())};
+    return {{addr + static_cast<std::uint64_t>(insn.branch_offset())}, 1};
   if (insn.is_jalr()) {
     const std::uint64_t target =
         (machine_->get_reg(insn.operand(1).reg) +
          static_cast<std::uint64_t>(insn.operand(2).imm)) & ~1ULL;
-    return {target};
+    return {{target}, 1};
   }
-  return {next};
+  return {{next}, 1};
 }
 
 Event Process::step_emulated() {
@@ -151,22 +153,30 @@ Event Process::step_emulated() {
     step_over_breakpoint();
     return Event{Event::Kind::Stepped, machine_->pc(), 0};
   }
-  const auto succs = successors_of(at);
-  if (succs.empty()) {  // undecodable: let the machine report the fault
+  const Successors succs = successors_of(at);
+  if (succs.n == 0) {  // undecodable: let the machine report the fault
     const StopReason r = machine_->step();
     if (auto ev = translate_stop(r)) return *ev;
     return Event{Event::Kind::Stepped, machine_->pc(), 0};
   }
   // Plant temporary traps at each successor (skipping existing ones),
   // resume, then remove. This is the software single-step of §3.2.6.
-  std::vector<std::uint64_t> planted;
-  for (std::uint64_t s : succs) {
-    if (breakpoints_.count(s)) continue;
-    insert_breakpoint(s);
-    planted.push_back(s);
+  std::array<std::uint64_t, 2> planted{};
+  std::array<SavedBytes, 2> saved{};
+  unsigned n = 0;
+  for (unsigned i = 0; i < succs.n; ++i) {
+    const std::uint64_t s = succs.pc[i];
+    if (breakpoints_.count(s) || (n != 0 && planted[0] == s)) continue;
+    planted[n] = s;
+    saved[n++] = plant_trap(s);
   }
   const StopReason r = machine_->run();
-  for (std::uint64_t s : planted) remove_breakpoint(s);
+  // Last planted first: a trap planted over an earlier one's bytes saved
+  // those bytes, so restoring in reverse leaves the original code.
+  while (n != 0) {
+    --n;
+    restore(planted[n], saved[n]);
+  }
   if (r == StopReason::Breakpoint) {
     const std::uint64_t stop = machine_->pc();
     auto redirect = trap_redirects_.find(stop);

@@ -9,7 +9,8 @@
 // executes the saved original instruction in the trap's place (displaced
 // stepping) rather than restoring, stepping and re-planting it, so a
 // continue writes no code; inserting and removing breakpoints, including
-// step_emulated's temporary successor traps, still do.
+// step_emulated's temporary successor traps, still do. A step allocates
+// nothing: its traps live in fixed two-slot arrays, not the breakpoint map.
 //
 // Dynamic instrumentation: ProcessSpace implements patch::AddressSpace
 // over the live (emulated) process, so BinaryEditor::commit_to() installs
@@ -18,6 +19,7 @@
 // running process" flow (Figure 1).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -25,6 +27,7 @@
 #include <vector>
 
 #include "emu/machine.hpp"
+#include "isa/decoder.hpp"
 #include "patch/address_space.hpp"
 #include "patch/editor.hpp"
 
@@ -166,10 +169,26 @@ class Process {
   explicit Process(std::unique_ptr<emu::Machine> m)
       : machine_(std::move(m)) {}
 
+  /// The instruction bytes a planted trap displaced.
+  struct SavedBytes {
+    std::array<std::uint8_t, 4> bytes{};
+    std::uint8_t size = 0;  ///< 2 or 4
+  };
+  /// Up to two possible successor pcs of one instruction.
+  struct Successors {
+    std::array<std::uint64_t, 2> pc{};
+    unsigned n = 0;  ///< 0 when the instruction does not decode
+  };
+
   /// Width (2 or 4) of the instruction at `addr`.
   unsigned insn_width_at(std::uint64_t addr);
+  /// Write a trap of matching width over the instruction at `addr`.
+  SavedBytes plant_trap(std::uint64_t addr);
+  void restore(std::uint64_t addr, const SavedBytes& saved) {
+    machine_->write_code(addr, saved.bytes.data(), saved.size);
+  }
   /// All possible successor pcs of the instruction at `addr`.
-  std::vector<std::uint64_t> successors_of(std::uint64_t addr);
+  Successors successors_of(std::uint64_t addr);
   /// Map a machine stop to an Event, applying trap-table redirects.
   std::optional<Event> translate_stop(emu::StopReason r);
   /// Step across a breakpoint at the current pc by executing its saved
@@ -179,9 +198,7 @@ class Process {
 
   std::unique_ptr<emu::Machine> machine_;
   ProcessSpace space_{this};
-  struct SavedBytes {
-    std::vector<std::uint8_t> bytes;
-  };
+  isa::Decoder decoder_;  ///< step_emulated's; publishes its tallies once
   std::map<std::uint64_t, SavedBytes> breakpoints_;
   std::map<std::uint64_t, std::uint64_t> trap_redirects_;
 };

@@ -1,6 +1,8 @@
 #include "stackwalk/stackwalker.hpp"
 
 #include <algorithm>
+#include <cstring>
+#include <type_traits>
 
 #include "dataflow/stack_height.hpp"
 #include "emu/machine.hpp"
@@ -19,26 +21,27 @@ class ProcessAccess : public ThreadAccess {
   std::uint64_t read_mem(std::uint64_t addr, unsigned size) const override {
     return p_.machine().memory().peek(addr, size);
   }
+  const std::uint8_t* page_data(std::uint64_t addr) const override {
+    return p_.machine().memory().page_data(addr);
+  }
 
  private:
   proccontrol::Process& p_;
 };
 
-bool plausible_code_addr(const parse::CodeObject& co, std::uint64_t pc) {
-  return pc != 0 && co.symtab().in_code(pc);
-}
+static_assert(std::is_trivially_copyable_v<Frame>);
 
 /// The caller's frame-pointer value at `loc`'s point: still in x8 when the
 /// function has not touched it, else loaded from the prologue's save slot,
 /// else unknown (0). Returning the callee's register value when the callee
 /// repurposed x8 would hand FramePointerStepper a stale chain and let it
 /// fabricate frames.
-std::uint64_t recover_caller_fp(ThreadAccess& thread, const Location& loc,
+std::uint64_t recover_caller_fp(WalkContext& ctx, const Location& loc,
                                 const Frame& frame, std::uint64_t entry_sp) {
   if (loc.point->state.fp_original) return frame.fp;
   const auto slot = loc.analysis->fp_save_slot();
   if (slot && loc.point->fp_saved)
-    return thread.read_mem(entry_sp + static_cast<std::uint64_t>(*slot), 8);
+    return ctx.read_word(entry_sp + static_cast<std::uint64_t>(*slot));
   return 0;
 }
 
@@ -58,6 +61,10 @@ std::uint64_t MachineAccess::read_mem(std::uint64_t addr,
   return m_.memory().peek(addr, size);
 }
 
+const std::uint8_t* MachineAccess::page_data(std::uint64_t addr) const {
+  return m_.memory().page_data(addr);
+}
+
 WalkContext::WalkContext(ThreadAccess& thread, const parse::CodeObject& co)
     : thread_(thread), co_(co) {}
 
@@ -72,20 +79,54 @@ const dataflow::StackHeightAnalysis& WalkContext::analysis(
 
 void WalkContext::invalidate_analyses() {
   analyses_.clear();
-  located_ = false;
+  memo_.fill(Memo{});
+}
+
+WalkContext::Memo& WalkContext::memo(std::uint64_t pc) {
+  Memo& m = memo_[(pc >> 1) % kMemoSlots];
+  if (m.pc != pc) {
+    m = Memo{};
+    m.pc = pc;
+  }
+  return m;
 }
 
 Location WalkContext::locate(std::uint64_t pc) {
-  if (located_ && last_pc_ == pc) return last_;
-  last_ = Location{};
-  if (const parse::Function* f = co_.function_containing(pc)) {
-    last_.func = f;
-    last_.analysis = &analysis(*f);
-    last_.point = last_.analysis->point_at(pc);
+  Memo& m = memo(pc);
+  if (!m.located) {
+    if (const parse::Function* f = co_.function_containing(pc)) {
+      m.loc.func = f;
+      m.loc.analysis = &analysis(*f);
+      m.loc.point = m.loc.analysis->point_at(pc);
+    }
+    m.located = true;
   }
-  located_ = true;
-  last_pc_ = pc;
-  return last_;
+  return m.loc;
+}
+
+bool WalkContext::plausible_code_addr(std::uint64_t pc) {
+  if (pc == 0) return false;
+  Memo& m = memo(pc);
+  if (!m.code_known) {
+    m.in_code = co_.symtab().in_code(pc);
+    m.code_known = true;
+  }
+  return m.in_code;
+}
+
+std::uint64_t WalkContext::read_word(std::uint64_t addr) {
+  constexpr std::uint64_t kPageSize = emu::Memory::kPageSize;
+  const std::uint64_t off = addr & (kPageSize - 1);
+  if (off > kPageSize - 8) return thread_.read_mem(addr, 8);
+  const std::uint64_t num = addr >> emu::Memory::kPageBits;
+  if (num != page_num_) {
+    page_ = thread_.page_data(addr);
+    page_num_ = num;
+  }
+  if (!page_) return 0;
+  std::uint64_t v = 0;
+  std::memcpy(&v, page_ + off, 8);
+  return v;
 }
 
 std::optional<Frame> FramePointerStepper::step(WalkContext& ctx,
@@ -94,9 +135,9 @@ std::optional<Frame> FramePointerStepper::step(WalkContext& ctx,
   const std::uint64_t fp = frame.fp;
   if (fp == 0 || (fp & 7) != 0) return std::nullopt;
   if (fp <= frame.sp || fp - frame.sp > (1u << 20)) return std::nullopt;
-  const std::uint64_t ra = ctx.thread().read_mem(fp - 8, 8);
-  const std::uint64_t caller_fp = ctx.thread().read_mem(fp - 16, 8);
-  if (!plausible_code_addr(ctx.co(), ra)) return std::nullopt;
+  const std::uint64_t ra = ctx.read_word(fp - 8);
+  const std::uint64_t caller_fp = ctx.read_word(fp - 16);
+  if (!ctx.plausible_code_addr(ra)) return std::nullopt;
   Frame out;
   out.pc = ra;
   out.sp = fp;  // caller's sp when it made the call
@@ -115,18 +156,17 @@ std::optional<Frame> SpHeightStepper::step(WalkContext& ctx,
   const std::uint64_t entry_sp =
       frame.sp - static_cast<std::uint64_t>(*loc.point->state.sp);
   const std::uint64_t ra =
-      ctx.thread().read_mem(entry_sp + static_cast<std::uint64_t>(*slot), 8);
-  if (!plausible_code_addr(ctx.co(), ra)) return std::nullopt;
+      ctx.read_word(entry_sp + static_cast<std::uint64_t>(*slot));
+  if (!ctx.plausible_code_addr(ra)) return std::nullopt;
   Frame out;
   out.pc = ra;
   out.sp = entry_sp;
-  out.fp = recover_caller_fp(ctx.thread(), loc, frame, entry_sp);
+  out.fp = recover_caller_fp(ctx, loc, frame, entry_sp);
   return out;
 }
 
 std::optional<Frame> LeafStepper::step(WalkContext& ctx, const Frame& frame) {
-  if (frame.ra == 0 || !plausible_code_addr(ctx.co(), frame.ra))
-    return std::nullopt;
+  if (!ctx.plausible_code_addr(frame.ra)) return std::nullopt;
   Frame out;
   out.pc = frame.ra;
   out.sp = frame.sp;
@@ -137,7 +177,7 @@ std::optional<Frame> LeafStepper::step(WalkContext& ctx, const Frame& frame) {
   const Location loc = ctx.locate(frame.pc);
   if (loc.point && loc.point->state.sp) {
     out.sp = frame.sp - static_cast<std::uint64_t>(*loc.point->state.sp);
-    out.fp = recover_caller_fp(ctx.thread(), loc, frame, out.sp);
+    out.fp = recover_caller_fp(ctx, loc, frame, out.sp);
   }
   return out;
 }
@@ -166,14 +206,17 @@ void StackWalker::add_stepper(std::unique_ptr<FrameStepper> stepper) {
   steppers_.insert(steppers_.begin(), std::move(stepper));
 }
 
-void StackWalker::annotate(Frame* f) {
-  if (const parse::Function* func = ctx_.locate(f->pc).func) {
+const parse::Function* StackWalker::annotate(Frame* f) {
+  const parse::Function* func = ctx_.locate(f->pc).func;
+  if (func) {
     f->func_name = func->name();
     f->func_entry = func->entry();
   }
+  return func;
 }
 
 std::vector<Frame> StackWalker::walk(unsigned max_depth) {
+  ctx_.begin_walk();
   std::vector<Frame> out;
   out.reserve(std::min(max_depth, 64u));
   Frame cur;
@@ -182,19 +225,18 @@ std::vector<Frame> StackWalker::walk(unsigned max_depth) {
   cur.sp = thread.get_reg(isa::sp);
   cur.fp = thread.get_reg(isa::fp);
   cur.ra = thread.get_reg(isa::ra);
-  annotate(&cur);
+  const parse::Function* cur_func = annotate(&cur);
 
   // The program's entry function has no caller: once the walk reaches it,
   // stale register contents (ra left over from a completed call) must not
   // fabricate an extra frame above it.
   const parse::Function* entry_func =
-      ctx_.co().function_containing(ctx_.co().symtab().entry);
+      ctx_.locate(ctx_.co().symtab().entry).func;
 
   for (unsigned depth = 0; depth < max_depth; ++depth) {
-    if (entry_func && cur.func_entry == entry_func->entry() &&
-        !cur.func_name.empty()) {
+    if (entry_func && cur_func == entry_func) {
       cur.stepper = "";
-      out.push_back(std::move(cur));
+      out.push_back(cur);
       break;
     }
     std::optional<Frame> caller;
@@ -211,11 +253,11 @@ std::vector<Frame> StackWalker::walk(unsigned max_depth) {
     // chains).
     const bool last =
         !caller || (caller->pc == cur.pc && caller->sp == cur.sp);
-    out.push_back(std::move(cur));
+    out.push_back(cur);
     if (last) break;
-    cur = std::move(*caller);
+    cur = *caller;
     cur.ra = 0;  // only the top frame's ra register is meaningful
-    annotate(&cur);
+    cur_func = annotate(&cur);
   }
   return out;
 }

@@ -19,17 +19,24 @@
 // StackHeightAnalysis cache through WalkContext: a sampling profiler
 // taking thousands of walks pays for each function's dataflow once.
 //
-// Each frame's pc is located once: WalkContext::locate resolves it to its
-// function, that function's analysis and the analysis's stored point, and
-// keeps the answer, so naming the frame and every stepper asking about it
-// share one lookup. A step reads the point's facts directly; no frame
-// re-walks a block.
+// One frame costs one memo probe and about two stack reads:
+//  - WalkContext keeps a direct-mapped memo from pc to its Location
+//    {function, analysis, stored point} and to whether the pc lies in a
+//    code section. Naming a frame, every stepper asking about it, and
+//    checking a recovered return address all answer from it, and frames
+//    that alternate between a few return sites stay resolved across walks.
+//  - Stack words are read through the host bytes of one cached page,
+//    dropped at the start of every walk: the walked thread is stopped for
+//    the whole walk, so the page cannot be freed under it.
+//  - Frame is trivially copyable: its name is a view of the CodeObject's
+//    Function::name().
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -52,13 +59,18 @@ namespace rvdyn::stackwalk {
 /// (non-faulting) memory reads. Unmapped reads must return 0 without
 /// side effects — a walker probing a garbage frame pointer must never
 /// perturb the walked process (e.g. by faulting pages into existence).
-/// Both implementations here read through emu::Memory::peek.
+/// Both implementations here read through emu::Memory::peek and
+/// emu::Memory::page_data.
 class ThreadAccess {
  public:
   virtual ~ThreadAccess() = default;
   virtual std::uint64_t pc() const = 0;
   virtual std::uint64_t get_reg(isa::Reg r) const = 0;
   virtual std::uint64_t read_mem(std::uint64_t addr, unsigned size) const = 0;
+  /// Host bytes of the emu::Memory::kPageSize page containing `addr`, or
+  /// nullptr when it is unmapped; never maps a page. The pointer is valid
+  /// while the thread stays stopped and its memory is not reset.
+  virtual const std::uint8_t* page_data(std::uint64_t addr) const = 0;
 };
 
 /// ThreadAccess over a bare emulated machine (no Process required) — the
@@ -69,6 +81,7 @@ class MachineAccess : public ThreadAccess {
   std::uint64_t pc() const override;
   std::uint64_t get_reg(isa::Reg r) const override;
   std::uint64_t read_mem(std::uint64_t addr, unsigned size) const override;
+  const std::uint8_t* page_data(std::uint64_t addr) const override;
 
  private:
   const emu::Machine& m_;
@@ -80,7 +93,11 @@ struct Frame {
   std::uint64_t sp = 0;       ///< stack pointer on entry to this frame's use
   std::uint64_t fp = 0;       ///< frame-pointer register value (if tracked)
   std::uint64_t ra = 0;       ///< return-address register value (top frame)
-  std::string func_name;      ///< resolved function name ("" when unknown)
+  /// Resolved function name ("" when unknown): a view of the walked
+  /// CodeObject's Function::name(), valid while that CodeObject lives
+  /// (also after the walker is gone). Copy it into a std::string to keep
+  /// it longer.
+  std::string_view func_name;
   std::uint64_t func_entry = 0;
   const char* stepper = "";   ///< which plugin produced the *next* frame
 };
@@ -95,7 +112,8 @@ struct Location {
 };
 
 /// Shared state for one walk (or a long series of walks): the thread view,
-/// the parsed code, and a memoized per-function stack-height analysis.
+/// the parsed code, a memoized per-function stack-height analysis, a memo
+/// of resolved pcs, and the stack page the current walk reads.
 class WalkContext {
  public:
   WalkContext(ThreadAccess& thread, const parse::CodeObject& co);
@@ -108,24 +126,56 @@ class WalkContext {
   /// invalidate_analyses(); call that after re-parsing or re-instrumenting
   /// the code the walker reads.
   const dataflow::StackHeightAnalysis& analysis(const parse::Function& f);
+  /// Drops the analyses and the pc memo.
   void invalidate_analyses();
 
   /// `pc` resolved to {function, analysis, point}; all null outside every
-  /// function. The last answer is kept until a different pc is asked for
-  /// or invalidate_analyses() drops it, so naming a frame and stepping
-  /// out of it resolve the frame's pc once. The pointers stay valid until
-  /// invalidate_analyses().
+  /// function. Answers are memoized per pc in a direct-mapped table of
+  /// kMemoSlots entries indexed by (pc >> 1) % kMemoSlots, so pcs a
+  /// multiple of 2 * kMemoSlots bytes apart evict each other. The pointers
+  /// stay valid until invalidate_analyses().
   Location locate(std::uint64_t pc);
 
+  /// Whether `pc` is nonzero and inside a code section of the walked
+  /// binary: the check every stepper applies to a recovered return
+  /// address. Memoized with locate().
+  bool plausible_code_addr(std::uint64_t pc);
+
+  /// The 8-byte little-endian stack word at `addr`, 0 when unmapped; never
+  /// maps a page. Reads go through the host bytes of the last page read,
+  /// so call begin_walk() whenever the thread may have run since the last
+  /// read. A word straddling two pages is read through
+  /// ThreadAccess::read_mem.
+  std::uint64_t read_word(std::uint64_t addr);
+
+  /// Forget the cached stack page (StackWalker::walk calls this first).
+  void begin_walk() {
+    page_num_ = kNoPage;
+    page_ = nullptr;
+  }
+
+  static constexpr std::size_t kMemoSlots = 64;
+
  private:
+  struct Memo {
+    std::uint64_t pc = 0;
+    Location loc;            ///< locate(pc), when `located`
+    bool located = false;
+    bool code_known = false;
+    bool in_code = false;    ///< plausible_code_addr(pc), when `code_known`
+  };
+  Memo& memo(std::uint64_t pc);
+
+  static constexpr std::uint64_t kNoPage = ~0ULL;
+
   ThreadAccess& thread_;
   const parse::CodeObject& co_;
   std::unordered_map<const parse::Function*,
                      std::unique_ptr<dataflow::StackHeightAnalysis>>
       analyses_;
-  bool located_ = false;  ///< last_ holds the answer for last_pc_
-  std::uint64_t last_pc_ = 0;
-  Location last_;
+  std::array<Memo, kMemoSlots> memo_{};
+  std::uint64_t page_num_ = kNoPage;  ///< page number of page_
+  const std::uint8_t* page_ = nullptr;  ///< its host bytes; null: unmapped
 };
 
 /// Plugin interface: given the current frame, produce the caller's frame.
@@ -173,15 +223,17 @@ class StackWalker {
   /// Register an additional stepper (tried before the defaults).
   void add_stepper(std::unique_ptr<FrameStepper> stepper);
 
-  /// Collect the call stack from the current stop, innermost first.
+  /// Collect the call stack from the current stop, innermost first. The
+  /// frames' names view the CodeObject (see Frame::func_name).
   std::vector<Frame> walk(unsigned max_depth = 64);
 
-  /// Drop the memoized per-function analyses (call after re-parsing or
-  /// patching the walked code).
+  /// Drop the memoized per-function analyses and resolved pcs (call after
+  /// re-parsing or patching the walked code).
   void invalidate_analyses() { ctx_.invalidate_analyses(); }
 
  private:
-  void annotate(Frame* f);
+  /// Names `f` and returns its function (null when unknown).
+  const parse::Function* annotate(Frame* f);
 
   std::unique_ptr<ThreadAccess> owned_;  ///< set by the Process convenience
   WalkContext ctx_;

@@ -4,6 +4,8 @@
 // *instrumented* process -> verify counters and behaviour.
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "assembler/assembler.hpp"
 #include "parse/cfg.hpp"
 #include "patch/editor.hpp"
@@ -140,10 +142,99 @@ inner:
   // Innermost frame is in the relocated region; callers resolve to the
   // original outer/_start functions.
   std::vector<std::string> names;
-  for (const auto& f : frames) names.push_back(f.func_name);
+  for (const auto& f : frames) names.emplace_back(f.func_name);
   EXPECT_EQ(names[1], "outer");
   EXPECT_EQ(names[2], "_start");
 
+  const Event done = proc->continue_run();
+  ASSERT_EQ(static_cast<int>(done.kind),
+            static_cast<int>(Event::Kind::Exited));
+  EXPECT_EQ(done.exit_code, 13);
+  EXPECT_EQ(proc->read_mem(c.addr, 8), 1u);
+}
+
+// A tool instruments a live process it has already walked: it commits the
+// editor's plan into the stopped process, re-parses the instrumented image
+// into the CodeObject its walker reads, and calls invalidate_analyses().
+// The next walk must answer from the new code, also for the caller pcs the
+// walker resolved against the old CodeObject.
+TEST(Integration, WalkAfterReinstrumentationAnswersFromNewCode) {
+  const auto original = assembler::assemble(R"(
+    .globl _start
+    .globl outer
+    .globl inner
+_start:
+    li a0, 3
+    call outer
+    li a7, 93
+    ecall
+outer:
+    addi sp, sp, -16
+    sd ra, 8(sp)
+    call inner
+    ld ra, 8(sp)
+    addi sp, sp, 16
+    ret
+inner:
+    addi a0, a0, 10
+    ret
+)");
+  std::optional<parse::CodeObject> code;  // the image the walker reads
+  code.emplace(original);
+  code->parse();
+  auto proc = Process::launch(original);
+  stackwalk::StackWalker walker(*proc, *code);
+
+  const std::uint64_t inner = original.find_symbol("inner")->value;
+  proc->insert_breakpoint(inner);
+  ASSERT_EQ(static_cast<int>(proc->continue_run().kind),
+            static_cast<int>(Event::Kind::Stopped));
+  const auto before = walker.walk();
+  ASSERT_EQ(before.size(), 3u);
+  EXPECT_EQ(before[0].func_name, "inner");
+  EXPECT_EQ(before[1].func_name, "outer");
+  EXPECT_EQ(before[2].func_name, "_start");
+  proc->remove_breakpoint(inner);
+
+  // The live process gets the plan the static rewrite gets, so `rewritten`
+  // describes the code it now runs. `before`'s names die with the old
+  // CodeObject; only its pcs and sps are read below.
+  patch::BinaryEditor editor(original);
+  const auto c = editor.alloc_var("c");
+  editor.insert_at(inner, patch::PointType::FuncEntry,
+                   codegen::increment(c));
+  const auto rewritten = editor.commit();
+  proc->apply_patch(editor);
+  code.emplace(rewritten);
+  code->parse();
+  walker.invalidate_analyses();
+
+  // The pc is on inner's springboard now: continuing enters the copy.
+  const std::uint64_t relocated = editor.plan()->relocated_entry.at(inner);
+  proc->insert_breakpoint(relocated);
+  ASSERT_EQ(static_cast<int>(proc->continue_run().kind),
+            static_cast<int>(Event::Kind::Stopped));
+  const auto after = walker.walk();
+  ASSERT_EQ(after.size(), 3u);
+  const parse::Function* copy = code->function_containing(relocated);
+  ASSERT_NE(copy, nullptr);
+  EXPECT_EQ(after[0].pc, relocated);
+  EXPECT_EQ(after[0].func_entry, copy->entry());
+  EXPECT_EQ(after[0].func_name.data(), copy->name().data());
+  // The callers stop at the pcs of the first walk and resolve in the
+  // re-parsed CodeObject.
+  for (std::size_t k = 1; k < after.size(); ++k) {
+    EXPECT_EQ(after[k].pc, before[k].pc) << k;
+    EXPECT_EQ(after[k].sp, before[k].sp) << k;
+    const parse::Function* fn = code->function_containing(after[k].pc);
+    ASSERT_NE(fn, nullptr) << k;
+    EXPECT_EQ(after[k].func_name.data(), fn->name().data()) << k;
+    EXPECT_EQ(after[k].func_entry, fn->entry()) << k;
+  }
+  EXPECT_EQ(after[1].func_name, "outer");
+  EXPECT_EQ(after[2].func_name, "_start");
+
+  proc->remove_breakpoint(relocated);
   const Event done = proc->continue_run();
   ASSERT_EQ(static_cast<int>(done.kind),
             static_cast<int>(Event::Kind::Exited));
