@@ -2,6 +2,8 @@
 // identical snippet, identical points, with liveness-guided scratch
 // allocation on vs off; plus a sweep over register pressure (how many
 // dead registers the point offers).
+#include <cinttypes>
+
 #include "bench_util.hpp"
 #include "codegen/codegen.hpp"
 #include "dataflow/liveness.hpp"
@@ -24,7 +26,7 @@ int main() {
     auto inst = bench::instrument_counter(bin, "matmul",
                                           patch::PointType::BlockEntry, dead);
     const auto r = bench::run_binary(inst.bin, &inst.traps, inst.counter_addr);
-    std::printf("%-22s %12u %10u %12llu %11.1f%%\n",
+    std::printf("%-22s %12" PRIu64 " %10" PRIu64 " %12llu %11.1f%%\n",
                 dead ? "dead-reg (RISC-V)" : "always-spill (x86)",
                 inst.stats.gen.n_insns, inst.stats.gen.scratch_spilled,
                 static_cast<unsigned long long>(r.cycles),
@@ -67,7 +69,8 @@ int main() {
     codegen::CodeGenerator gen;
     codegen::GenStats stats;
     gen.generate(*codegen::increment(v), dead, &stats);
-    std::printf("%8u %14u %10u\n", k, stats.n_insns, stats.scratch_spilled);
+    std::printf("%8u %14" PRIu64 " %10" PRIu64 "\n", k, stats.n_insns,
+                stats.scratch_spilled);
   }
 
   std::printf(

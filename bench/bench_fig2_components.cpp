@@ -1,6 +1,7 @@
 // F2 — Figure 2's component stack, measured: per-toolkit wall time for the
 // full pipeline over a many-function binary (SymtabAPI -> InstructionAPI
 // -> ParseAPI -> DataflowAPI -> CodeGenAPI+PatchAPI -> execution).
+#include <cinttypes>
 #include <chrono>
 
 #include "bench_util.hpp"
@@ -102,7 +103,8 @@ int main() {
     editor.insert_at(entry, patch::PointType::FuncEntry,
                      codegen::increment(counter));
   auto rewritten = editor.commit();
-  std::printf("%-34s %10.2f %u funcs relocated, %u snippet insns\n",
+  std::printf("%-34s %10.2f %" PRIu64 " funcs relocated, %" PRIu64
+              " snippet insns\n",
               "CodeGenAPI+PatchAPI (rewrite all)", t_patch.ms(),
               editor.stats().relocated_functions,
               editor.stats().snippet_insns);

@@ -2,6 +2,7 @@
 // displacement-strategy ladder the springboards land on, and the code-size
 // effect of the RVC re-compression pass — per workload and per insertion
 // mix. Writes BENCH_patch.json (JsonWriter shape + rvdyn_meta provenance).
+#include <cinttypes>
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -77,7 +78,9 @@ int main() {
     const auto m = measure(bin, c, kReps);
     const auto& s = m.stats;
     const auto& r = s.reloc;
-    std::printf("%-22s %12.0f %8u %8u %8u %8u %10llu %10llu\n", c.name,
+    std::printf("%-22s %12.0f %8" PRIu64 " %8" PRIu64 " %8" PRIu64 " %8" PRIu64
+                " %10llu %10llu\n",
+                c.name,
                 m.commit_ns_min, s.entry_cj, s.entry_jal, s.entry_auipc_jalr,
                 s.entry_trap,
                 static_cast<unsigned long long>(r.bytes_before_rvc),

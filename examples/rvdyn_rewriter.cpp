@@ -8,6 +8,7 @@
 // rewritten executable; the counter value is exported as the rvdyn$counter
 // symbol. With no arguments, runs a self-demonstration: builds a demo
 // binary, rewrites it, executes both, and prints the counter.
+#include <cinttypes>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -49,8 +50,9 @@ int rewrite(const symtab::Symtab& in, const std::string& out_path,
   const auto rewritten = editor.commit();
   rewritten.write_file(out_path);
   const auto& s = editor.stats();
-  std::printf("rewrote %u function(s): %u snippets (%u insns), "
-              "springboards: %u c.j / %u jal / %u auipc+jalr / %u trap\n",
+  std::printf("rewrote %" PRIu64 " function(s): %" PRIu64 " snippets (%" PRIu64
+              " insns), springboards: %" PRIu64 " c.j / %" PRIu64 " jal / %" PRIu64
+              " auipc+jalr / %" PRIu64 " trap\n",
               s.relocated_functions, s.snippets_inserted, s.snippet_insns,
               s.entry_cj, s.entry_jal, s.entry_auipc_jalr, s.entry_trap);
   std::printf("counter symbol rvdyn$counter at 0x%llx; wrote %s\n",

@@ -181,7 +181,7 @@ class Generator {
     } else {
       out = std::move(body);
     }
-    if (stats_) stats_->n_insns = static_cast<unsigned>(out.size());
+    if (stats_) stats_->n_insns += out.size();
     return out;
   }
 

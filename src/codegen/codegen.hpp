@@ -18,6 +18,7 @@
 #include "common/status.hpp"
 #include "isa/extensions.hpp"
 #include "isa/instruction.hpp"
+#include "obs/stats.hpp"
 
 namespace rvdyn::codegen {
 
@@ -26,11 +27,16 @@ struct GenOptions {
   bool use_dead_registers = true;
 };
 
-/// Accounting for the ablation benchmarks.
+/// Accounting for the ablation benchmarks. generate() adds to it, so one
+/// record passed to several calls sums them (a rewrite's record sums every
+/// snippet it lowers).
+#define RVDYN_CODEGEN_GEN_STATS(X)                                        \
+  X(n_insns, "rvdyn.patch.snippet_insns") /* instructions generated */    \
+  /* scratch allocations served by dead registers, that forced a spill */ \
+  X(scratch_from_dead, "rvdyn.patch.scratch_from_dead")                   \
+  X(scratch_spilled, "rvdyn.patch.scratch_spilled")
 struct GenStats {
-  unsigned n_insns = 0;
-  unsigned scratch_from_dead = 0;  ///< allocations served by dead registers
-  unsigned scratch_spilled = 0;    ///< allocations that forced a spill
+  RVDYN_STATS(GenStats, RVDYN_CODEGEN_GEN_STATS)
 };
 
 class CodeGenerator {

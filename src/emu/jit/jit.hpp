@@ -31,6 +31,7 @@
 
 #include "emu/jit/jit_state.hpp"
 #include "isa/instruction.hpp"
+#include "obs/stats.hpp"
 
 namespace rvdyn::emu {
 class Machine;
@@ -64,34 +65,39 @@ struct Config {
   isa::Mnemonic sabotage = isa::Mnemonic::kInvalid;
 };
 
+#define RVDYN_JIT_STATS(X)                                                \
+  /* compile side */                                                      \
+  X(blocks_compiled, "rvdyn.emu.jit.blocks_compiled")                     \
+  X(insns_compiled, "rvdyn.emu.jit.insns_compiled")                       \
+  /* blocks with no compilable prefix, blocks cut short of a terminal */  \
+  X(compile_rejected, "rvdyn.emu.jit.compile_rejected")                   \
+  X(compile_truncated, "rvdyn.emu.jit.compile_truncated")                 \
+  X(code_bytes, "rvdyn.emu.jit.code_bytes") /* host code (x64 backend) */ \
+  X(compile_ns, "rvdyn.emu.jit.compile_ns") /* wall time compiling */     \
+  /* run side */                                                          \
+  X(sessions, "rvdyn.emu.jit.sessions") /* entries from Machine::run */   \
+  X(blocks_entered, "rvdyn.emu.jit.blocks_entered")                       \
+  X(insns_retired, "rvdyn.emu.jit.insns_retired")                         \
+  X(dispatch_hits, "rvdyn.emu.jit.dispatch_hits") /* inline jalr table */ \
+  X(helper_calls, "rvdyn.emu.jit.helper_calls") /* run by the helper */   \
+  X(slow_stores, "rvdyn.emu.jit.slow_stores") /* run by the C path */     \
+  /* session ends: uncompiled direct edge, uncompiled jalr target, step   \
+     budget, interpreter handoff */                                       \
+  X(exit_edge, "rvdyn.emu.jit.exit.edge")                                 \
+  X(exit_dispatch, "rvdyn.emu.jit.exit.dispatch")                         \
+  X(exit_budget, "rvdyn.emu.jit.exit.budget")                             \
+  X(exit_interp, "rvdyn.emu.jit.exit.interp")                             \
+  /* chaining; broken = unchained by invalidation */                      \
+  X(chains_installed, "rvdyn.emu.jit.chains_installed")                   \
+  X(chains_broken, "rvdyn.emu.jit.chains_broken")                         \
+  X(dispatch_entries, "rvdyn.emu.jit.dispatch_entries") /* jalr table */  \
+  /* invalidation: compiled blocks dropped, by cause */                   \
+  X(evict_write_code, "rvdyn.emu.jit.evict.write_code")                   \
+  X(evict_fencei, "rvdyn.emu.jit.evict.fencei")                           \
+  X(evict_capacity, "rvdyn.emu.jit.evict.capacity")                       \
+  X(evict_config, "rvdyn.emu.jit.evict.config")
 struct Stats {
-  // compile side
-  std::uint64_t blocks_compiled = 0;
-  std::uint64_t insns_compiled = 0;
-  std::uint64_t compile_rejected = 0;   ///< blocks with no compilable prefix
-  std::uint64_t compile_truncated = 0;  ///< blocks cut short of a terminal
-  std::uint64_t code_bytes = 0;         ///< host code emitted (x64 backend)
-  std::uint64_t compile_ns = 0;         ///< wall time spent compiling
-  // run side
-  std::uint64_t sessions = 0;        ///< entries from Machine::run
-  std::uint64_t blocks_entered = 0;  ///< compiled blocks executed
-  std::uint64_t insns_retired = 0;   ///< guest insns retired in compiled code
-  std::uint64_t dispatch_hits = 0;   ///< inline jalr-table hits
-  std::uint64_t helper_calls = 0;    ///< insns run by the generic helper
-  std::uint64_t slow_stores = 0;     ///< stores run by the C slow path
-  std::uint64_t exit_edge = 0;       ///< session ends: uncompiled direct edge
-  std::uint64_t exit_dispatch = 0;   ///< session ends: uncompiled jalr target
-  std::uint64_t exit_budget = 0;     ///< session ends: step budget
-  std::uint64_t exit_interp = 0;     ///< session ends: interpreter handoff
-  // chaining
-  std::uint64_t chains_installed = 0;
-  std::uint64_t chains_broken = 0;    ///< unchained by invalidation
-  std::uint64_t dispatch_entries = 0; ///< jalr-table installs
-  // invalidation (compiled blocks dropped, by cause)
-  std::uint64_t evict_write_code = 0;
-  std::uint64_t evict_fencei = 0;
-  std::uint64_t evict_capacity = 0;
-  std::uint64_t evict_config = 0;
+  RVDYN_STATS(Stats, RVDYN_JIT_STATS)
 };
 
 /// Attribution side-table record for one compiled block: which guest range
@@ -153,7 +159,8 @@ class Tier {
   std::size_t live_blocks() const { return live_blocks_; }
   const Stats& stats() const { return stats_; }
 
-  /// Push rvdyn.emu.jit.* counter deltas into obs::Registry.
+  /// Push the counter deltas since the last publish into obs::Registry,
+  /// and set the live-blocks gauge.
   void publish_metrics();
 
  protected:

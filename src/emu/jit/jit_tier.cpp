@@ -9,7 +9,7 @@
 #include "emu/jit/backend.hpp"
 #include "emu/jit/jit_ir.hpp"
 #include "emu/machine.hpp"
-#include "obs/metrics.hpp"
+#include "obs/stats.hpp"
 
 namespace rvdyn::emu::jit {
 
@@ -152,53 +152,9 @@ const BlockInfo* Tier::block_info(std::uint64_t pc) const {
 
 void Tier::publish_metrics() {
 #if RVDYN_OBS_ENABLED
-  const Stats& c = stats_;
-  const Stats& p = published_;
-  RVDYN_OBS_COUNT_N("rvdyn.emu.jit.blocks_compiled",
-                    c.blocks_compiled - p.blocks_compiled);
-  RVDYN_OBS_COUNT_N("rvdyn.emu.jit.insns_compiled",
-                    c.insns_compiled - p.insns_compiled);
-  RVDYN_OBS_COUNT_N("rvdyn.emu.jit.compile_rejected",
-                    c.compile_rejected - p.compile_rejected);
-  RVDYN_OBS_COUNT_N("rvdyn.emu.jit.compile_truncated",
-                    c.compile_truncated - p.compile_truncated);
-  RVDYN_OBS_COUNT_N("rvdyn.emu.jit.code_bytes", c.code_bytes - p.code_bytes);
-  RVDYN_OBS_COUNT_N("rvdyn.emu.jit.compile_ns", c.compile_ns - p.compile_ns);
-  RVDYN_OBS_COUNT_N("rvdyn.emu.jit.sessions", c.sessions - p.sessions);
-  RVDYN_OBS_COUNT_N("rvdyn.emu.jit.blocks_entered",
-                    c.blocks_entered - p.blocks_entered);
-  RVDYN_OBS_COUNT_N("rvdyn.emu.jit.insns_retired",
-                    c.insns_retired - p.insns_retired);
-  RVDYN_OBS_COUNT_N("rvdyn.emu.jit.dispatch_hits",
-                    c.dispatch_hits - p.dispatch_hits);
-  RVDYN_OBS_COUNT_N("rvdyn.emu.jit.helper_calls",
-                    c.helper_calls - p.helper_calls);
-  RVDYN_OBS_COUNT_N("rvdyn.emu.jit.slow_stores",
-                    c.slow_stores - p.slow_stores);
-  RVDYN_OBS_COUNT_N("rvdyn.emu.jit.exit.edge", c.exit_edge - p.exit_edge);
-  RVDYN_OBS_COUNT_N("rvdyn.emu.jit.exit.dispatch",
-                    c.exit_dispatch - p.exit_dispatch);
-  RVDYN_OBS_COUNT_N("rvdyn.emu.jit.exit.budget",
-                    c.exit_budget - p.exit_budget);
-  RVDYN_OBS_COUNT_N("rvdyn.emu.jit.exit.interp",
-                    c.exit_interp - p.exit_interp);
-  RVDYN_OBS_COUNT_N("rvdyn.emu.jit.chains_installed",
-                    c.chains_installed - p.chains_installed);
-  RVDYN_OBS_COUNT_N("rvdyn.emu.jit.chains_broken",
-                    c.chains_broken - p.chains_broken);
-  RVDYN_OBS_COUNT_N("rvdyn.emu.jit.dispatch_entries",
-                    c.dispatch_entries - p.dispatch_entries);
-  RVDYN_OBS_COUNT_N("rvdyn.emu.jit.evict.write_code",
-                    c.evict_write_code - p.evict_write_code);
-  RVDYN_OBS_COUNT_N("rvdyn.emu.jit.evict.fencei",
-                    c.evict_fencei - p.evict_fencei);
-  RVDYN_OBS_COUNT_N("rvdyn.emu.jit.evict.capacity",
-                    c.evict_capacity - p.evict_capacity);
-  RVDYN_OBS_COUNT_N("rvdyn.emu.jit.evict.config",
-                    c.evict_config - p.evict_config);
+  obs::publish(stats_, published_);
   RVDYN_OBS_GAUGE("rvdyn.emu.jit.live_blocks",
                   static_cast<std::uint64_t>(live_blocks_));
-  published_ = stats_;
 #endif
 }
 

@@ -7,7 +7,7 @@
 #include <limits>
 
 #include "common/bits.hpp"
-#include "obs/metrics.hpp"
+#include "obs/stats.hpp"
 #include "obs/trace.hpp"
 #include "semantics/eval.hpp"
 
@@ -75,26 +75,9 @@ Machine::~Machine() { publish_metrics(); }
 
 void Machine::publish_metrics() {
 #if RVDYN_OBS_ENABLED
-  const CacheStats& c = cstats_;
-  const CacheStats& p = published_;
-  RVDYN_OBS_COUNT_N("rvdyn.emu.icache.hit", c.icache_hits - p.icache_hits);
-  RVDYN_OBS_COUNT_N("rvdyn.emu.icache.miss", c.icache_misses - p.icache_misses);
-  RVDYN_OBS_COUNT_N("rvdyn.emu.bcache.hit", c.bcache_hits - p.bcache_hits);
-  RVDYN_OBS_COUNT_N("rvdyn.emu.bcache.miss", c.bcache_misses - p.bcache_misses);
-  RVDYN_OBS_COUNT_N("rvdyn.emu.bcache.built", c.blocks_built - p.blocks_built);
-  RVDYN_OBS_COUNT_N("rvdyn.emu.bcache.entered",
-                    c.blocks_entered - p.blocks_entered);
-  RVDYN_OBS_COUNT_N("rvdyn.emu.bcache.evict.write_code",
-                    c.evict_write_code - p.evict_write_code);
-  RVDYN_OBS_COUNT_N("rvdyn.emu.bcache.evict.fencei",
-                    c.evict_fencei - p.evict_fencei);
-  RVDYN_OBS_COUNT_N("rvdyn.emu.bcache.evict.capacity",
-                    c.evict_capacity - p.evict_capacity);
-  RVDYN_OBS_COUNT_N("rvdyn.emu.fencei_flushes",
-                    c.fencei_flushes - p.fencei_flushes);
+  obs::publish(cstats_, published_);
   RVDYN_OBS_GAUGE("rvdyn.emu.instret", st_.instret);
   RVDYN_OBS_GAUGE("rvdyn.emu.cycles", st_.cycles);
-  published_ = cstats_;
   decoder_.publish_stats();
 #if RVDYN_JIT_ENABLED
   if (jit_) jit_->publish_metrics();

@@ -19,8 +19,8 @@
 #include "emu/jit/jit_state.hpp"
 #include "emu/memory.hpp"
 #include "isa/decoder.hpp"
-#include "obs/metrics.hpp"  // header-only; resolves RVDYN_OBS_ENABLED for
-                            // the inline trace_block/sample-hook gates
+#include "obs/stats.hpp"  // header-only; resolves RVDYN_OBS_ENABLED for
+                          // the inline trace_block/sample-hook gates
 #include "symtab/symtab.hpp"
 
 namespace rvdyn::emu {
@@ -118,39 +118,34 @@ class Machine {
   /// RVDYN_OBS_ENABLED=0). Evictions are attributed to their cause so
   /// debugger patching churn (write_code), guest self-modification
   /// (fence.i) and capacity pressure can be told apart.
+#define RVDYN_EMU_CACHE_STATS(X)                                        \
+  X(icache_hits, "rvdyn.emu.icache.hit")                                \
+  X(icache_misses, "rvdyn.emu.icache.miss")                             \
+  X(bcache_hits, "rvdyn.emu.bcache.hit")    /* served from cache */     \
+  X(bcache_misses, "rvdyn.emu.bcache.miss") /* had to build */          \
+  X(blocks_built, "rvdyn.emu.bcache.built")                             \
+  X(blocks_entered, "rvdyn.emu.bcache.entered") /* executed by run() */ \
+  /* block entries lost to write_code, to fence.i, to the bound */      \
+  X(evict_write_code, "rvdyn.emu.bcache.evict.write_code")              \
+  X(evict_fencei, "rvdyn.emu.bcache.evict.fencei")                      \
+  X(evict_capacity, "rvdyn.emu.bcache.evict.capacity")                  \
+  X(fencei_flushes, "rvdyn.emu.fencei_flushes") /* full flushes */
   struct CacheStats {
-    std::uint64_t icache_hits = 0;
-    std::uint64_t icache_misses = 0;
-    std::uint64_t bcache_hits = 0;    ///< block lookups served from cache
-    std::uint64_t bcache_misses = 0;  ///< lookups that had to build
-    std::uint64_t blocks_built = 0;
-    std::uint64_t blocks_entered = 0;  ///< cached blocks executed by run()
-    std::uint64_t evict_write_code = 0;  ///< block entries lost to write_code
-    std::uint64_t evict_fencei = 0;      ///< block entries lost to fence.i
-    std::uint64_t evict_capacity = 0;    ///< block entries lost to the bound
-    std::uint64_t fencei_flushes = 0;    ///< fence.i-driven full flushes
+    RVDYN_STATS(CacheStats, RVDYN_EMU_CACHE_STATS)
   };
   const CacheStats& cache_stats() const { return cstats_; }
 
   /// The emulator-side "hardware" counter file (paper §4's perf-counter
   /// surface): architectural counters plus the cache traffic a real PMU
-  /// would expose. Reads are always valid; the cache fields mirror
-  /// cache_stats() and are zero in RVDYN_OBS=OFF builds.
+  /// would expose. Reads are always valid; `cache` is cache_stats(), all
+  /// zero in RVDYN_OBS=OFF builds.
   struct HwCounterFile {
     std::uint64_t instret = 0;
     std::uint64_t cycles = 0;
-    std::uint64_t icache_hits = 0;
-    std::uint64_t icache_misses = 0;
-    std::uint64_t bcache_hits = 0;
-    std::uint64_t bcache_misses = 0;
-    std::uint64_t blocks_entered = 0;
-    std::uint64_t blocks_built = 0;
+    CacheStats cache;
   };
   HwCounterFile hw_counters() const {
-    return {st_.instret,           st_.cycles,
-            cstats_.icache_hits, cstats_.icache_misses,
-            cstats_.bcache_hits, cstats_.bcache_misses,
-            cstats_.blocks_entered, cstats_.blocks_built};
+    return {st_.instret, st_.cycles, cstats_};
   }
 
   // --- per-PC profiling (emulator-side block frequency ground truth) ---

@@ -5,8 +5,8 @@
 #include "common/parallel.hpp"
 #include "common/status.hpp"
 #include "fuzz/fuzz.hpp"
-#include "obs/metrics.hpp"
 #include "obs/postmortem.hpp"
+#include "obs/stats.hpp"
 
 namespace rvdyn::fuzz {
 
@@ -140,30 +140,18 @@ struct Campaign::Worker {
   std::vector<std::uint8_t> base;   ///< the corpus entry being mutated
   std::vector<std::uint8_t> input;  ///< this exec's test case
   std::vector<std::uint8_t> map;
-  obs::ScopedView view;
-  obs::Counter c_execs, c_scans, c_admits, c_crashes, c_hangs,
-      c_resets_pages;
-  // Per-exec tallies are plain fields, so an exec pays no atomic add;
-  // publish_tallies() adds them to c_execs / c_resets_pages.
-  std::uint64_t execs = 0;
-  std::uint64_t reset_pages = 0;
+  // Plain tallies, so an exec pays no atomic add; publish() adds their
+  // growth to the worker's own counters.
+  WorkerStats stats, published;
+  obs::StatIds<WorkerStats> ids;
 
   Worker(std::uint64_t seed, const std::string& prefix, unsigned widx)
       : mut(seed),
         map(kMapSize),
-        view(prefix + ".w" + std::to_string(widx)),
-        c_execs(view.qualify("execs")),
-        c_scans(view.qualify("novelty_scans")),
-        c_admits(view.qualify("corpus_admits")),
-        c_crashes(view.qualify("crashes")),
-        c_hangs(view.qualify("hangs")),
-        c_resets_pages(view.qualify("reset_pages")) {}
+        ids(obs::register_stats<WorkerStats>(prefix + ".w" +
+                                             std::to_string(widx) + ".")) {}
 
-  void publish_tallies() {
-    c_execs.add(execs);
-    c_resets_pages.add(reset_pages);
-    execs = reset_pages = 0;
-  }
+  void publish() { obs::publish(ids, stats, published); }
 };
 
 Campaign::Campaign(const symtab::Symtab& target, CampaignOptions opts)
@@ -203,7 +191,7 @@ bool Campaign::claim_exec(std::uint64_t* exec_no) {
 
 bool Campaign::execute_one(Worker& w, const std::vector<std::uint8_t>& input,
                            std::uint64_t exec_no) {
-  w.reset_pages += w.m.reset_to_snapshot(w.snap).pages_restored;
+  w.stats.reset_pages += w.m.reset_to_snapshot(w.snap).pages_restored;
   emu::Memory& mem = w.m.memory();
   // Scratch slots are dirty-exempt (not restored); re-zero them so the
   // first woven block of this run starts a fresh edge chain.
@@ -214,10 +202,10 @@ bool Campaign::execute_one(Worker& w, const std::vector<std::uint8_t>& input,
 
   w.m.run(opts_.exec_step_budget);
   const emu::StopReason stop = w.m.last_stop();
-  ++w.execs;
+  ++w.stats.execs;
 
   if (is_crash(stop)) {
-    w.c_crashes.add(1);
+    ++w.stats.crashes;
     std::lock_guard lock(result_mu_);
     // Keep the first crash's full postmortem; later duplicates only count.
     if (result_.crashes.empty()) {
@@ -231,7 +219,7 @@ bool Campaign::execute_one(Worker& w, const std::vector<std::uint8_t>& input,
     }
     if (opts_.stop_on_crash) stop_.store(true, std::memory_order_release);
   } else if (stop == emu::StopReason::Running) {
-    w.c_hangs.add(1);
+    ++w.stats.hangs;
     std::lock_guard lock(result_mu_);
     ++result_.hangs;
   }
@@ -241,11 +229,11 @@ bool Campaign::execute_one(Worker& w, const std::vector<std::uint8_t>& input,
   // slots never read 0 again (see edge_snippet), so with one worker every
   // scan admits an input.
   if (mem.read(kNewEdgesAddr, 8) == 0) return false;
-  w.c_scans.add(1);
+  ++w.stats.novelty_scans;
   read_map(w.m, w.map.data());
   const unsigned fresh = global_.merge(w.map.data());
   if (fresh == 0) return false;
-  w.c_admits.add(1);
+  ++w.stats.corpus_admits;
   corpus_.add(input, fresh);
   if (opts_.collect_curve) {
     std::lock_guard lock(result_mu_);
@@ -266,7 +254,7 @@ void Campaign::run_worker(unsigned widx) {
     for (unsigned i = 0; i < rounds; ++i) {
       std::uint64_t exec_no = 0;
       if (!claim_exec(&exec_no)) {
-        w.publish_tallies();
+        w.publish();
         return;
       }
       w.input.assign(w.base.begin(), w.base.end());
@@ -274,6 +262,10 @@ void Campaign::run_worker(unsigned widx) {
       execute_one(w, w.input, exec_no);
     }
   }
+}
+
+const WorkerStats& Campaign::worker_stats(unsigned i) const {
+  return workers_.at(i)->stats;
 }
 
 CampaignResult Campaign::run() {
@@ -299,7 +291,7 @@ CampaignResult Campaign::run() {
   for (const auto& s : seeds_)
     if (!execute_one(*workers_[0], s, ++execs_) && corpus_.size() == 0)
       corpus_.add(s, 0);  // keep at least one schedulable entry
-  workers_[0]->publish_tallies();
+  workers_[0]->publish();
 
   run_on_workers(opts_.workers, [this](unsigned widx) { run_worker(widx); });
 

@@ -39,6 +39,7 @@
 #include <vector>
 
 #include "emu/machine.hpp"
+#include "obs/stats.hpp"
 #include "patch/editor.hpp"
 #include "symtab/symtab.hpp"
 
@@ -170,7 +171,7 @@ struct CampaignOptions {
   std::uint64_t seed = 1;              ///< campaign RNG seed
   bool stop_on_crash = true;
   std::uint64_t exec_step_budget = 1u << 20;  ///< per-exec guest step cap
-  std::string metrics_prefix = "rvdyn.fuzz";  ///< ScopedView namespace
+  std::string metrics_prefix = "rvdyn.fuzz";  ///< workers metric namespace
   bool collect_curve = true;           ///< record the coverage curve
 };
 
@@ -194,13 +195,27 @@ struct CampaignResult {
   bool found_crash() const { return !crashes.empty(); }
 };
 
+/// One worker's tallies. They are published under
+/// `<metrics_prefix>.w<i>.` + each entry's name, after the seed
+/// calibration (worker 0) and when the worker's loop ends.
+#define RVDYN_FUZZ_WORKER_STATS(X)                               \
+  X(execs, "execs")                                              \
+  X(novelty_scans, "novelty_scans") /* global coverage merges */ \
+  X(corpus_admits, "corpus_admits")                              \
+  X(crashes, "crashes")                                          \
+  X(hangs, "hangs")                                              \
+  X(reset_pages, "reset_pages") /* pages snapshot resets restored */
+struct WorkerStats {
+  RVDYN_STATS(WorkerStats, RVDYN_FUZZ_WORKER_STATS)
+};
+
 /// One fuzzing campaign over a coverage-woven target. Each worker is a
 /// loop on its own thread: pick a corpus entry, mutate and execute it
 /// batch × energy times, pick again. Each execution is snapshot-reset +
 /// input write + run; `max_execs` caps the executions of all workers
 /// together exactly. Per-worker metrics land under `<metrics_prefix>.w<i>.*`
-/// (reset at campaign start via the scoped registry view, so back-to-back
-/// campaigns never accumulate).
+/// (reset at campaign start by a registry reset of that prefix, so
+/// back-to-back campaigns never accumulate).
 class Campaign {
  public:
   /// `target` must follow the fuzz_input/fuzz_len contract; it is woven
@@ -217,6 +232,9 @@ class Campaign {
   CampaignResult run();
 
   const WovenTarget& target() const { return woven_; }
+
+  /// Worker `i`'s tallies from the last run().
+  const WorkerStats& worker_stats(unsigned i) const;
 
  private:
   struct Worker;

@@ -184,18 +184,9 @@ Decoder::Decoder(ExtensionSet profile) : profile_(profile) {
 Decoder::~Decoder() { publish_stats(); }
 
 void Decoder::publish_stats() const {
-#if RVDYN_OBS_ENABLED
-  const DecodeStats& s = dstats_;
-  if (s.fast32 | s.fast16 | s.fail32 | s.fail16 | s.linear32 | s.linear16) {
-    RVDYN_OBS_COUNT_N("rvdyn.isa.decode32.fast", s.fast32);
-    RVDYN_OBS_COUNT_N("rvdyn.isa.decode16.fast", s.fast16);
-    RVDYN_OBS_COUNT_N("rvdyn.isa.decode32.fail", s.fail32);
-    RVDYN_OBS_COUNT_N("rvdyn.isa.decode16.fail", s.fail16);
-    RVDYN_OBS_COUNT_N("rvdyn.isa.decode32.linear", s.linear32);
-    RVDYN_OBS_COUNT_N("rvdyn.isa.decode16.linear", s.linear16);
-    dstats_ = DecodeStats{};
-  }
-#endif
+  DecodeStats none;  // the tallies restart from zero at each publish
+  if (publishes_) obs::publish(dstats_, none);
+  dstats_ = DecodeStats{};
 }
 
 bool Decoder::decode32_linear(std::uint32_t word, Instruction* out) const {

@@ -21,6 +21,7 @@
 
 #include "isa/extensions.hpp"
 #include "isa/instruction.hpp"
+#include "obs/stats.hpp"
 
 namespace rvdyn::isa {
 
@@ -32,7 +33,9 @@ constexpr bool is_compressed_encoding(std::uint16_t first_halfword) {
 
 namespace detail {
 /// Tag for the table builders' internal Decoder: skips eager table warming
-/// (the public constructor triggers it, which would recurse mid-build).
+/// (the public constructor triggers it, which would recurse mid-build) and
+/// keeps the build's reference decodes out of the registry, since no guest
+/// made them.
 struct NoTableWarm {};
 }  // namespace detail
 
@@ -41,13 +44,17 @@ struct NoTableWarm {};
 /// reference match/mask scan kept for differential testing. Plain non-atomic
 /// fields so the hot decode loop pays one increment, flushed in bulk into
 /// obs::Registry by publish_stats() / the destructor.
+#define RVDYN_ISA_DECODE_STATS(X)                                      \
+  /* table-path successes, encodings that did not decode, and calls of \
+     the reference decode32_linear / decode16_linear */                \
+  X(fast32, "rvdyn.isa.decode32.fast")                                 \
+  X(fast16, "rvdyn.isa.decode16.fast")                                 \
+  X(fail32, "rvdyn.isa.decode32.fail")                                 \
+  X(fail16, "rvdyn.isa.decode16.fail")                                 \
+  X(linear32, "rvdyn.isa.decode32.linear")                             \
+  X(linear16, "rvdyn.isa.decode16.linear")
 struct DecodeStats {
-  std::uint64_t fast32 = 0;    ///< decode32 table-path successes
-  std::uint64_t fast16 = 0;    ///< decode16 table-path successes
-  std::uint64_t fail32 = 0;    ///< 32-bit words that did not decode
-  std::uint64_t fail16 = 0;    ///< 16-bit halves that did not decode
-  std::uint64_t linear32 = 0;  ///< reference decode32_linear calls
-  std::uint64_t linear16 = 0;  ///< reference decode16_linear calls
+  RVDYN_STATS(DecodeStats, RVDYN_ISA_DECODE_STATS)
 };
 
 class Decoder {
@@ -57,7 +64,8 @@ class Decoder {
   /// is flat from the very first call.
   explicit Decoder(ExtensionSet profile = ExtensionSet::rv64gc());
 
-  Decoder(ExtensionSet profile, detail::NoTableWarm) : profile_(profile) {}
+  Decoder(ExtensionSet profile, detail::NoTableWarm)
+      : profile_(profile), publishes_(false) {}
 
   /// Flushes any unpublished decode tallies into obs::Registry.
   ~Decoder();
@@ -143,6 +151,7 @@ class Decoder {
 
  private:
   ExtensionSet profile_;
+  bool publishes_ = true;  ///< false for the table builders' decoder
   mutable DecodeStats dstats_;
 };
 

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "isa/instruction.hpp"
+#include "obs/stats.hpp"
 #include "symtab/symtab.hpp"
 
 namespace rvdyn::parse {
@@ -167,6 +168,14 @@ struct ParseOptions {
   unsigned max_jump_table_entries = 512;
 };
 
+/// The parser's own tallies. The CFG totals it also publishes (functions,
+/// blocks, insns) are computed from the functions instead.
+#define RVDYN_PARSE_STATS(X) \
+  X(idle_ns, "rvdyn.parse.sched.idle_ns") /* worker waits at joins */
+struct ParseStats {
+  RVDYN_STATS(ParseStats, RVDYN_PARSE_STATS)
+};
+
 /// A parsed binary: functions discovered from symbols, the entry point,
 /// call traversal, and (optionally) gap parsing.
 class CodeObject {
@@ -226,9 +235,13 @@ class CodeObject {
   /// Aggregate statistics over all functions.
   FunctionStats total_stats() const;
 
+  /// The parser's tallies from parse().
+  const ParseStats& parse_stats() const { return parse_stats_; }
+
  private:
   const symtab::Symtab& symtab_;
   std::map<std::uint64_t, std::unique_ptr<Function>> funcs_;
+  ParseStats parse_stats_;
   std::vector<AddrSegment> addr_index_;
   bool addr_index_built_ = false;
 };

@@ -25,7 +25,7 @@
 
 #include "common/parallel.hpp"
 #include "isa/decoder.hpp"
-#include "obs/metrics.hpp"
+#include "obs/stats.hpp"
 #include "obs/trace.hpp"
 #include "parse/classify.hpp"
 
@@ -38,8 +38,9 @@ using isa::Instruction;
 class Parser {
  public:
   Parser(CodeObject& co, const symtab::Symtab& st, const ParseOptions& opts,
-         std::map<std::uint64_t, std::unique_ptr<Function>>& funcs)
-      : co_(co), st_(st), opts_(opts), funcs_(funcs) {
+         std::map<std::uint64_t, std::unique_ptr<Function>>& funcs,
+         ParseStats& stats)
+      : co_(co), st_(st), opts_(opts), funcs_(funcs), stats_(stats) {
     const isa::Decoder dec(st.extensions().has(isa::Extension::I)
                                ? st.extensions()
                                : isa::ExtensionSet::rv64gc());
@@ -90,7 +91,7 @@ class Parser {
   void for_each_index(std::size_t count, Fn&& fn) {
     const unsigned n =
         count <= kInlineBatch ? 1u : static_cast<unsigned>(workers_.size());
-    idle_ns_ += parallel_for(n, count, [&](unsigned w, std::size_t i) {
+    stats_.idle_ns += parallel_for(n, count, [&](unsigned w, std::size_t i) {
       fn(workers_[w], i);
     });
   }
@@ -126,7 +127,9 @@ class Parser {
     RVDYN_OBS_COUNT_N("rvdyn.parse.insns", insns);
     RVDYN_OBS_COUNT_N("rvdyn.parse.unresolved", unresolved);
     // Worker time spent waiting at a parallel phase's join: load imbalance.
-    RVDYN_OBS_COUNT_N("rvdyn.parse.sched.idle_ns", idle_ns_);
+    // parse() runs once, so the whole tally is new.
+    ParseStats none;
+    obs::publish(stats_, none);
     // Per-worker share of the parse, so imbalance shows up in metrics.
     for (std::size_t w = 0; w < workers_.size(); ++w) {
       if (!workers_[w].funcs) continue;
@@ -510,7 +513,7 @@ class Parser {
   std::map<std::uint64_t, std::unique_ptr<Function>>& funcs_;
   std::vector<Worker> workers_;
   std::vector<Function*> wave_;  ///< registered, not yet parsed
-  std::uint64_t idle_ns_ = 0;    ///< summed join waits of parallel phases
+  ParseStats& stats_;
   std::unordered_set<std::uint64_t> seeds_;  ///< frozen before traversal
   std::unordered_map<std::uint64_t, const std::string*> name_by_addr_;
 };
@@ -656,7 +659,7 @@ std::string CodeObject::symbolize(std::uint64_t a) const {
 }
 
 void CodeObject::parse(const ParseOptions& opts) {
-  Parser parser(*this, symtab_, opts, funcs_);
+  Parser parser(*this, symtab_, opts, funcs_, parse_stats_);
   parser.run();
   rebuild_addr_index();
 }

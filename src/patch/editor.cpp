@@ -8,7 +8,7 @@
 #include "dataflow/summaries.hpp"
 #include "isa/encoder.hpp"
 #include "isa/imm_builder.hpp"
-#include "obs/metrics.hpp"
+#include "obs/stats.hpp"
 #include "obs/trace.hpp"
 
 namespace rvdyn::patch {
@@ -108,7 +108,8 @@ void BinaryEditor::build_plan() {
   // the instrumentation to use.
   const dataflow::Summaries summaries(*co_);
 
-  reloc::CodeMover mover(patch_text_base_, rvc, &gen, &summaries);
+  reloc::CodeMover mover(patch_text_base_, rvc, &gen, &stats_.gen,
+                         &summaries);
 
   struct Springboard {
     std::uint64_t at;      // original address to patch
@@ -183,8 +184,7 @@ void BinaryEditor::build_plan() {
   // ---- run the relocation pipeline ----
   const std::vector<std::uint8_t>& text = mover.run();
   stats_.reloc = mover.stats();
-  stats_.gen = stats_.reloc.gen;
-  stats_.snippet_insns = stats_.reloc.snippet_insns;
+  stats_.snippet_insns = stats_.gen.n_insns;
 
   // ---- springboard ladder: c.j -> jal -> auipc+jalr -> trap ----
   for (const Springboard& sb : boards) {
@@ -264,25 +264,14 @@ void BinaryEditor::build_plan() {
   plan_ = std::move(plan);
 
 #if RVDYN_OBS_ENABLED
-  RVDYN_OBS_COUNT_N("rvdyn.patch.snippets_inserted", stats_.snippets_inserted);
-  RVDYN_OBS_COUNT_N("rvdyn.patch.snippet_insns", stats_.snippet_insns);
-  RVDYN_OBS_COUNT_N("rvdyn.patch.relocated_functions",
-                    stats_.relocated_functions);
-  RVDYN_OBS_COUNT_N("rvdyn.patch.entry_cj", stats_.entry_cj);
-  RVDYN_OBS_COUNT_N("rvdyn.patch.entry_jal", stats_.entry_jal);
-  RVDYN_OBS_COUNT_N("rvdyn.patch.entry_auipc_jalr", stats_.entry_auipc_jalr);
-  RVDYN_OBS_COUNT_N("rvdyn.patch.entry_trap", stats_.entry_trap);
-  RVDYN_OBS_COUNT_N("rvdyn.patch.scratch_from_dead",
-                    stats_.gen.scratch_from_dead);
-  RVDYN_OBS_COUNT_N("rvdyn.patch.scratch_spilled", stats_.gen.scratch_spilled);
-  RVDYN_OBS_COUNT_N("rvdyn.patch.relax_iterations",
-                    stats_.reloc.relax_iterations);
-  RVDYN_OBS_COUNT_N("rvdyn.patch.rvc_recompressed",
-                    stats_.reloc.rvc_recompressed);
-  RVDYN_OBS_COUNT_N("rvdyn.patch.branch_long", stats_.reloc.branch_long);
+  // The plan is built once per editor, so every tally is new.
+  RewriteStats none;
+  obs::publish(stats_, none);
+  obs::publish(stats_.gen, none.gen);
+  obs::publish(stats_.reloc, none.reloc);
   if (stats_.snippets_inserted)
     RVDYN_OBS_HIST("rvdyn.patch.snippet_size",
-                   stats_.snippet_insns / stats_.snippets_inserted);
+                   stats_.gen.n_insns / stats_.snippets_inserted);
   RVDYN_OBS_GAUGE("rvdyn.patch.text_bytes", plan_->text.bytes.size());
   RVDYN_OBS_GAUGE("rvdyn.patch.data_bytes", plan_->data.bytes.size());
   RVDYN_OBS_GAUGE("rvdyn.patch.text_bytes_before_rvc",

@@ -33,16 +33,22 @@ namespace rvdyn::patch {
 
 /// Counters for the rewrite, including the displacement-strategy ladder
 /// (ablation A1) and dead-register usage (ablation A2).
+#define RVDYN_PATCH_REWRITE_STATS(X)                            \
+  X(relocated_functions, "rvdyn.patch.relocated_functions")     \
+  X(snippets_inserted, "rvdyn.patch.snippets_inserted")         \
+  /* entries patched with a 2-byte c.j, a 4-byte jal, an 8-byte \
+     auipc+jalr, and a 2/4-byte trap plus trap-table entry */   \
+  X(entry_cj, "rvdyn.patch.entry_cj")                           \
+  X(entry_jal, "rvdyn.patch.entry_jal")                         \
+  X(entry_auipc_jalr, "rvdyn.patch.entry_auipc_jalr")           \
+  X(entry_trap, "rvdyn.patch.entry_trap")
 struct RewriteStats {
-  unsigned relocated_functions = 0;
-  unsigned snippets_inserted = 0;
-  unsigned snippet_insns = 0;
-  unsigned entry_cj = 0;          ///< entries patched with a 2-byte c.j
-  unsigned entry_jal = 0;         ///< 4-byte jal
-  unsigned entry_auipc_jalr = 0;  ///< 8-byte auipc+jalr
-  unsigned entry_trap = 0;        ///< 2/4-byte trap + trap-table entry
-  codegen::GenStats gen;          ///< aggregated code-generation stats
-  reloc::RelocStats reloc;        ///< pass-pipeline accounting
+  RVDYN_STATS(RewriteStats, RVDYN_PATCH_REWRITE_STATS)
+  /// gen.n_insns, under the name perfbench and the example tools read;
+  /// exported once, through gen.
+  std::uint64_t snippet_insns = 0;
+  codegen::GenStats gen;    ///< code generation, summed over every snippet
+  reloc::RelocStats reloc;  ///< pass-pipeline accounting
 };
 
 /// The complete, immutable product of one relocation session: everything a

@@ -302,13 +302,8 @@ void weave_pass(MoverModule& m) {
       }
       const std::uint32_t first = m.pool.size();
       for (const codegen::SnippetPtr& s : *item.snippets) {
-        codegen::GenStats gs;
-        code = m.gen->generate(*s, dead, &gs);
+        code = m.gen->generate(*s, dead, m.gen_stats);
         for (const isa::Instruction& insn : code) m.pool.push(insn);
-        m.stats.gen.n_insns += gs.n_insns;
-        m.stats.gen.scratch_from_dead += gs.scratch_from_dead;
-        m.stats.gen.scratch_spilled += gs.scratch_spilled;
-        m.stats.snippet_insns += gs.n_insns;
       }
       fi.widgets[item.widget_index] =
           Widget::code(first, m.pool.size() - first, m.pool);
@@ -401,10 +396,12 @@ constexpr Step kPipeline[] = {
 
 CodeMover::CodeMover(std::uint64_t base, bool rvc,
                      codegen::CodeGenerator* gen,
+                     codegen::GenStats* gen_stats,
                      const dataflow::Summaries* summaries) {
   module_.base = base;
   module_.rvc = rvc;
   module_.gen = gen;
+  module_.gen_stats = gen_stats;
   module_.summaries = summaries;
 }
 

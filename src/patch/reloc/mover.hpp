@@ -81,21 +81,27 @@ struct FunctionImage {
   std::vector<WeaveItem> weave_items;
 };
 
-/// Relocation accounting, aggregated across the module by the passes.
+/// Relocation accounting, aggregated across the module by the passes. The
+/// weave pass's code-generation tallies go to the CodeMover's GenStats.
+#define RVDYN_PATCH_RELOC_STATS(X)                                    \
+  X(relax_iterations, "rvdyn.patch.relax_iterations")                 \
+  /* cond branches as c.beqz/c.bnez, as 4-byte B-type, and widened to \
+     an inverted branch over jal */                                   \
+  X(branch_c2, "rvdyn.patch.branch_c2")                               \
+  X(branch_near, "rvdyn.patch.branch_near")                           \
+  X(branch_long, "rvdyn.patch.branch_long")                           \
+  X(jump_c2, "rvdyn.patch.jump_c2")     /* c.j */                     \
+  X(jump_near, "rvdyn.patch.jump_near") /* jal */                     \
+  X(transfer_jal, "rvdyn.patch.transfer_jal")                         \
+  X(transfer_auipc_jalr, "rvdyn.patch.transfer_auipc_jalr")           \
+  /* relocated insns shrunk to C forms */                             \
+  X(rvc_recompressed, "rvdyn.patch.rvc_recompressed")                 \
+  X(bytes_after_rvc, "rvdyn.patch.bytes_after_rvc")
 struct RelocStats {
-  unsigned relax_iterations = 0;
-  unsigned branch_c2 = 0;    ///< cond branches emitted as c.beqz/c.bnez
-  unsigned branch_near = 0;  ///< 4-byte B-type
-  unsigned branch_long = 0;  ///< widened: inverted branch over jal
-  unsigned jump_c2 = 0;      ///< c.j
-  unsigned jump_near = 0;    ///< jal
-  unsigned transfer_jal = 0;
-  unsigned transfer_auipc_jalr = 0;
-  unsigned rvc_recompressed = 0;  ///< relocated insns shrunk to C forms
+  RVDYN_STATS(RelocStats, RVDYN_PATCH_RELOC_STATS)
+  /// Relocated text before re-compression; exported as the
+  /// rvdyn.patch.text_bytes_before_rvc gauge.
   std::uint64_t bytes_before_rvc = 0;
-  std::uint64_t bytes_after_rvc = 0;
-  unsigned snippet_insns = 0;
-  codegen::GenStats gen;
 };
 
 /// Shared pass state: the functions under relocation plus module-level
@@ -104,6 +110,7 @@ struct MoverModule {
   std::uint64_t base = 0;  ///< patch-area text base address
   bool rvc = false;        ///< mutatee profile has the C extension
   codegen::CodeGenerator* gen = nullptr;
+  codegen::GenStats* gen_stats = nullptr;  ///< weave's generate() tallies
   const dataflow::Summaries* summaries = nullptr;
   std::vector<FunctionImage> funcs;
   InsnPool pool;
@@ -120,7 +127,10 @@ class CodeMover {
   /// straight to the module-wide binding.
   static constexpr std::size_t kAnyFunction = static_cast<std::size_t>(-1);
 
+  /// The weave pass lowers snippets through `gen` and adds its tallies to
+  /// `gen_stats`.
   CodeMover(std::uint64_t base, bool rvc, codegen::CodeGenerator* gen,
+            codegen::GenStats* gen_stats,
             const dataflow::Summaries* summaries);
 
   /// Queue `f` for relocation with `spec` woven in. Returns the function's
